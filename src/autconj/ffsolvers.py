@@ -595,14 +595,14 @@ def conj_ff(phi: RatMap, psi: RatMap, algorithm: str = "auto") -> ConjResult:
     if algorithm == "auto":
         algorithm = ("exhaustive" if q * (q * q - 1) <= EXHAUSTIVE_CEILING
                      else "invariant-sets")
-    reason = types_rule_out_conjugacy(phi, psi)
-    if reason:
-        return ConjResult((), algorithm, reason)
-    if algorithm == "exhaustive":
-        els = conj_exhaustive(phi, psi)
-        return ConjResult(tuple(els), algorithm)
     if algorithm == "invariant-sets":
+        # conj_invariant_sets starts with the same type test
         absolute, rational, reason = conj_invariant_sets(phi, psi)
         return ConjResult(tuple(rational), algorithm, reason,
                           absolute_elements=tuple(absolute))
-    raise ValueError("unknown algorithm %r" % algorithm)
+    if algorithm != "exhaustive":
+        raise ValueError("unknown algorithm %r" % algorithm)
+    reason = types_rule_out_conjugacy(phi, psi)
+    if reason:
+        return ConjResult((), algorithm, reason)
+    return ConjResult(tuple(conj_exhaustive(phi, psi)), algorithm)

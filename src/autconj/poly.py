@@ -224,10 +224,6 @@ def form_mul(K, F, G) -> Form:
     return tuple(out)
 
 
-def form_scale(K, F, c) -> Form:
-    return tuple(K.mul(c, a) for a in F)
-
-
 def form_eval(K, F, x0, x1):
     d = len(F) - 1
     y_pows = [K.one]

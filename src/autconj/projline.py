@@ -23,11 +23,10 @@ from fractions import Fraction
 from typing import Optional
 
 from . import poly as P
-from .domains import QQ
+from .domains import QQ, ZZ
 from .exact import canonical_proj, proj_height
 from .factor import rational_roots_qq, roots_ff
 from .finitefield import PrimeField
-from .ntheory import factorint
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +67,12 @@ def _canon_vec_qq(vec) -> tuple[int, ...]:
     for x in fracs:
         den = den * x.denominator // math.gcd(den, x.denominator)
     return canonical_proj([int(x * den) for x in fracs])
+
+
+def _ring(K):
+    # canonical vectors over Q are integer vectors, so their products and
+    # sums stay in Z; only a division needs Fractions
+    return ZZ if K.char == 0 else K
 
 
 def _canon_vec_field(K, vec) -> tuple:
@@ -292,23 +297,21 @@ class RatMap:
             K, P.form_eval(K, self.F0, pt[0], pt[1]), P.form_eval(K, self.F1, pt[0], pt[1])
         )
 
-    def compose_self(self) -> "RatMap":
-        K = self.K
-        g0 = P.form_compose(K, self.F0, self.F0, self.F1)
-        g1 = P.form_compose(K, self.F1, self.F0, self.F1)
-        return RatMap(K, g0, g1)
-
     def fixed_point_form(self) -> tuple:
         """X*F1 - Y*F0, the degree d+1 form cutting out the fixed points."""
-        K = self.K
-        xf1 = (K.zero,) + self.F1
-        yf0 = self.F0 + (K.zero,)
-        return tuple(K.sub(a, b) for a, b in zip(xf1, yf0))
+        return _fixed_point_form(_ring(self.K), self.F0, self.F1)
 
     def dynatomic_2(self) -> tuple:
-        """The degree d^2 - d form whose roots are the points of period 2."""
-        two = self.compose_self()
-        return _form_divexact(self.K, two.fixed_point_form(), self.fixed_point_form())
+        """The degree d^2 - d form whose roots are the points of period 2.
+
+        phi o phi enters only through its forms G0, G1: a composite of
+        morphisms is coprime, so it needs no RatMap and no gcd check.
+        """
+        R = _ring(self.K)
+        g0 = P.form_compose(R, self.F0, self.F0, self.F1)
+        g1 = P.form_compose(R, self.F1, self.F0, self.F1)
+        return _form_divexact(self.K, _fixed_point_form(R, g0, g1),
+                              self.fixed_point_form())
 
     def preimage_form(self, pt) -> tuple:
         """x1*F0 - x0*F1; vanishes exactly on the preimages of pt."""
@@ -332,9 +335,6 @@ class RatMap:
         if self._res is None:
             self._res = P.resultant_forms(self.F0, self.F1, self.d)
         return self._res
-
-    def bad_primes(self) -> list[int]:
-        return sorted(factorint(abs(self.resultant())))
 
     def is_good_prime(self, p: int) -> bool:
         return self.resultant() % p != 0
@@ -401,6 +401,10 @@ def _poly_str(K, f) -> str:
     return out
 
 
+def _fixed_point_form(K, F0, F1) -> tuple:
+    return tuple(K.sub(a, b) for a, b in zip((K.zero,) + F1, F0 + (K.zero,)))
+
+
 def _form_divexact(K, F, G) -> tuple:
     """Quotient of homogeneous forms, demanding exact division."""
     fa = P.pstrip(K, F)
@@ -437,7 +441,7 @@ def form_rational_roots(K, F) -> list:
 
 def conjugate_map(phi: RatMap, f: Mobius) -> RatMap:
     """The conjugate f . phi . f^(-1)."""
-    K = phi.K
+    K = _ring(phi.K)
     a, b, c, d = f.t
     s0 = (K.neg(b), d)  # d X - b Y, first row of the inverse
     s1 = (a, K.neg(c))
@@ -445,7 +449,7 @@ def conjugate_map(phi: RatMap, f: Mobius) -> RatMap:
     g1 = P.form_compose(K, phi.F1, s0, s1)
     h0 = tuple(K.add(K.mul(a, u), K.mul(b, v)) for u, v in zip(g0, g1))
     h1 = tuple(K.add(K.mul(c, u), K.mul(d, v)) for u, v in zip(g0, g1))
-    return RatMap(K, h0, h1)
+    return RatMap(phi.K, h0, h1)
 
 
 def is_conjugating(s: Mobius, phi: RatMap, psi: RatMap) -> bool:
@@ -456,7 +460,7 @@ def is_conjugating(s: Mobius, phi: RatMap, psi: RatMap) -> bool:
     """
     if phi.d != psi.d or phi.K != psi.K or s.K != phi.K:
         return False
-    K = phi.K
+    K = _ring(phi.K)
     a, b, c, d = s.t
     sp0 = tuple(K.add(K.mul(a, u), K.mul(b, v)) for u, v in zip(phi.F0, phi.F1))
     sp1 = tuple(K.add(K.mul(c, u), K.mul(d, v)) for u, v in zip(phi.F0, phi.F1))

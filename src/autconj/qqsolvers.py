@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .domains import QQ
+from .domains import QQ, ZZ
 from .exact import crt_combine, l2_norm_sq, shortest_congruent_lift
 from .factor import form_radical_qq
 from .ffsolvers import _aut_ff_fixed_points, _sorted_mobius, aut_fixed_points, conj_ff
@@ -54,7 +54,7 @@ def invariant_int_form(phi: RatMap) -> tuple[int, ...]:
         stages += 1
         if stages > 3:
             raise RuntimeError("invariant set did not reach three points")
-        R = form_radical_qq(P.form_compose(QQ, R, phi.F0, phi.F1))
+        R = form_radical_qq(P.form_compose(ZZ, R, phi.F0, phi.F1))
     return R
 
 
@@ -69,13 +69,12 @@ def conjugacy_height_bound(phi: RatMap, psi: RatMap | None = None) -> int:
 
 
 def _good_primes(maps):
-    bad = {2, 3}
-    for m in maps:
-        bad.update(m.bad_primes())
+    """Primes p >= 5 at which every map has good reduction, p not
+    dividing its resultant; the resultant is never factored."""
     p = 3
     while True:
         p = next_prime(p)
-        if p not in bad:
+        if all(m.is_good_prime(p) for m in maps):
             yield p
 
 

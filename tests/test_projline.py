@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import autconj.poly as P
+from autconj.cli import parse_map
 from autconj.domains import QQ
 from autconj.finitefield import GF
 from autconj.projline import (
     Mobius,
     RatMap,
+    _form_divexact,
     conjugate_map,
     infinity,
     is_automorphism,
@@ -189,6 +191,53 @@ def test_dynatomic_2():
         assert P.form_degree(psi.dynatomic_2()) == psi.d * psi.d - psi.d
 
 
+def test_dynatomic_2_roots_are_period_two_points():
+    # brute force over P^1(F_p): every strict 2-cycle point is a root, and
+    # every other root is a fixed point
+    rng = random.Random(47)
+    for p in (7, 11):
+        K = GF(p)
+        pts = [(x, K.one) for x in K.elements()] + [infinity(K)]
+        for _ in range(12):
+            phi = random_map_ff(K, rng.randrange(2, 5), rng)
+            dyn = phi.dynatomic_2()
+            assert P.form_degree(dyn) == phi.d * phi.d - phi.d
+            for x in pts:
+                y = phi.apply(x)
+                period_two = y != x and phi.apply(y) == x
+                is_root = P.form_eval(K, dyn, *x) == K.zero
+                if period_two:
+                    assert is_root
+                elif is_root:
+                    assert y == x
+
+
+def _dynatomic_2_over_q(phi):
+    # phi o phi composed in QQ, then the exact quotient of fixed point forms
+    g0 = P.form_compose(QQ, phi.F0, phi.F0, phi.F1)
+    g1 = P.form_compose(QQ, phi.F1, phi.F0, phi.F1)
+    fix2 = tuple(a - b for a, b in zip((QQ.zero,) + g1, g0 + (QQ.zero,)))
+    return _form_divexact(QQ, fix2, phi.fixed_point_form())
+
+
+def _proportional(F, G):
+    return len(F) == len(G) and all(
+        a * d == b * c for a, b in zip(F, G) for c, d in zip(F, G)
+    )
+
+
+def test_dynatomic_2_matches_composition_over_q():
+    from test_acceptance import BATTERY_ROWS, ROW_ONE
+
+    maps = [parse_map(e, QQ) for e in [ROW_ONE] + [r[0] for r in BATTERY_ROWS]]
+    rng = random.Random(49)
+    maps += [random_map_qq(rng.randrange(2, 8), 10, rng) for _ in range(20)]
+    for phi in maps:
+        dyn = phi.dynatomic_2()
+        assert any(dyn)
+        assert _proportional(dyn, _dynatomic_2_over_q(phi))
+
+
 def test_preimages():
     one = (Fraction(1), Fraction(1))
     assert Z2.rational_preimages(one) == [(-1, 1), (1, 1)]
@@ -209,19 +258,20 @@ def test_preimages_map_forward():
             assert normalize_point(K, *phi.apply(q)) == normalize_point(K, *target)
 
 
-def test_resultant_and_bad_primes():
+def test_resultant_and_is_good_prime():
     assert Z2.resultant() == 1
-    assert Z2.bad_primes() == []
     two_z5 = _zmap((0, 0, 0, 0, 0, 2), (1,))
-    assert two_z5.bad_primes() == [2]
-    big = _zmap((0, 0, 0, 0, 0, 0, 345025251), (1,))
-    assert big.bad_primes() == [3, 17]
-    # oracle: the resultant really is divisible by exactly those primes
-    r = abs(big.resultant())
-    for p in (3, 17):
-        assert r % p == 0
-    for p in (2, 5, 7, 11, 13, 53, 61):
-        assert r % p != 0
+    big = _zmap((0, 0, 0, 0, 0, 0, 345025251), (1,))  # 3^5 * 17^5
+    bad = {Z2: (), two_z5: (2,), big: (3, 17)}
+    for phi, primes in bad.items():
+        for p in (2, 3, 5, 7, 11, 13, 17, 53, 61):
+            assert phi.is_good_prime(p) == (p not in primes)
+            # oracle: good reduction keeps two coprime forms of degree d
+            try:
+                good = phi.reduce_mod_p(p).d == phi.d
+            except ValueError:
+                good = False
+            assert good == (p not in primes)
 
 
 def test_reduce_mod_p():

@@ -1,5 +1,6 @@
 """Automorphism and conjugation solvers over Q: fixed points and CRT lifting."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from autconj.exact import l2_norm_sq
 from autconj.groups import is_closed
 from autconj.projline import Mobius, RatMap, conjugate_map, is_automorphism, is_conjugating, random_map_qq
 from autconj.qqsolvers import (
+    _good_primes,
     aut_qq,
     conj_qq,
     conjugacy_height_bound,
@@ -93,6 +95,16 @@ def test_aut_crt_monomial_with_bad_primes():
     assert res.group == "C2"
     for p in res.primes:
         assert p not in (2, 3, 17)
+
+
+def test_good_primes_skip_divisors_of_the_resultant():
+    big = _zmap((0, 0, 0, 0, 0, 0, 345025251), (1,))  # 3^5 * 17^5
+    assert list(itertools.islice(_good_primes([big]), 5)) == [5, 7, 11, 13, 19]
+    assert list(itertools.islice(_good_primes([TWO_Z5, big]), 5)) == [5, 7, 11, 13, 19]
+    # the resultant (2^61 - 1)^2 (2^89 - 1)^2 is out of reach of factorint
+    n = (2**61 - 1) * (2**89 - 1)
+    hard = _zmap((0, 0, n), (1,))
+    assert list(itertools.islice(_good_primes([hard]), 5)) == [5, 7, 11, 13, 17]
 
 
 def test_aut_elements_verify_and_close():
