@@ -2,7 +2,9 @@
 
 Three engines, in increasing sophistication:
 
-  * exhaustive search over PGL2(F_q), viable while q(q^2 - 1) stays small;
+  * a scan of PGL2(F_q) pinned by forward orbits: each candidate is fixed
+    by the image of one point, then checked at every rational point,
+    exact; viable while q(q^2 - 1) stays small;
   * the invariant-set method: both maps carry a small canonical point set
     (fixed points, pulled back through the map until it has at least three
     elements), and any conjugation must carry one set onto the other, so
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 from . import poly as P
 from .domains import QQ
@@ -70,8 +73,28 @@ def _sorted_mobius(elements):
 # ---------------------------------------------------------------------------
 # exhaustive search
 
+def _orbit_table(m: RatMap, pts):
+    """m on the rational points pts, and for each point x its head (x,
+    m(x), m(m(x)) cut at the first repeat) and the head's signature: the
+    number of rational preimages of each of its points."""
+    img = {x: m.apply(x) for x in pts}
+    indeg = Counter(img.values())
+    heads = {}
+    for x in pts:
+        h = (x,)
+        while len(h) < 3 and img[h[-1]] not in h:
+            h += (img[h[-1]],)
+        heads[x] = h
+    return img, heads, {x: tuple(indeg[y] for y in h) for x, h in heads.items()}
+
+
 def conj_exhaustive(phi: RatMap, psi: RatMap) -> list:
-    """All of Conj_{phi,psi}(F_q) by direct enumeration of PGL2(F_q)."""
+    """All of Conj_{phi,psi}(F_q) by a scan of PGL2(F_q) pinned by forward
+    orbits.  A conjugation s permutes P^1(F_q), carrying the head of x
+    onto the head of s(x), whose signature is the same; so a source point
+    x0 with a three-point head and each target y0 of its signature pin one
+    candidate, and shorter heads let the rest of the triple range over the
+    points of matching signature."""
     K = phi.K
     q = K.order
     if q is None:
@@ -81,62 +104,29 @@ def conj_exhaustive(phi: RatMap, psi: RatMap) -> list:
     if psi.K != K or phi.d != psi.d:
         return []
 
-    elems = list(K.elements())
-    n = len(elems)
-    eidx = {e: i for i, e in enumerate(elems)}
-    zi = eidx[K.zero]
-    onei = eidx[K.one]
-    add_t = [[eidx[K.add(x, y)] for y in elems] for x in elems]
-    sub_t = [[eidx[K.sub(x, y)] for y in elems] for x in elems]
-    mul_t = [[eidx[K.mul(x, y)] for y in elems] for x in elems]
-    inv_t = [-1] * n
-    for i, e in enumerate(elems):
-        if i != zi:
-            inv_t[i] = eidx[K.inv(e)]
-    INF = n  # point index for (1 : 0)
-
-    def map_table(m):
-        f0 = [eidx[c] for c in m.F0]
-        f1 = [eidx[c] for c in m.F1]
-        tab = []
-        for x in range(n):
-            num = f0[-1]
-            for k in range(len(f0) - 2, -1, -1):
-                num = add_t[mul_t[num][x]][f0[k]]
-            den = f1[-1]
-            for k in range(len(f1) - 2, -1, -1):
-                den = add_t[mul_t[den][x]][f1[k]]
-            tab.append(mul_t[num][inv_t[den]] if den != zi else INF)
-        tab.append(mul_t[f0[-1]][inv_t[f1[-1]]] if f1[-1] != zi else INF)
-        return tab
-
-    phi_tab = map_table(phi)
-    psi_tab = map_table(psi)
-    pts = range(n + 1)
+    pts = [(e, K.one) for e in K.elements()] + [infinity(K)]
+    img_phi, head_phi, sig_phi = tab = _orbit_table(phi, pts)
+    img_psi, head_psi, sig_psi = tab if psi == phi else _orbit_table(psi, pts)
+    by_sig = {}
+    for y in pts:
+        by_sig.setdefault(sig_psi[y], []).append(y)
+    targets = {x: by_sig.get(sig_phi[x], []) for x in pts}
+    # the longest head, and among those the rarest signature on psi's side
+    x0 = min(pts, key=lambda x: (-len(head_phi[x]), len(targets[x])))
+    src = head_phi[x0]
+    extra = sorted((x for x in pts if x not in src), key=lambda x: len(targets[x]))
+    extra = extra[: 3 - len(src)]
     need_exact = (q + 1) <= 2 * phi.d  # pointwise match is then inconclusive
 
-    def s_at(a, b, c, d, x):
-        if x == INF:
-            return mul_t[a][inv_t[c]] if c != zi else INF
-        den = add_t[mul_t[c][x]][d]
-        if den == zi:
-            return INF
-        return mul_t[add_t[mul_t[a][x]][b]][inv_t[den]]
-
     found = []
-    # a = 1 covers s with a != 0; a = 0, b = 1 covers the rest
-    cands = itertools.chain(
-        ((onei, b, c, d) for b in range(n) for c in range(n) for d in range(n)
-         if sub_t[d][mul_t[b][c]] != zi),
-        ((zi, onei, c, d) for c in range(n) if c != zi for d in range(n)),
-    )
-    for a, b, c, d in cands:
-        for x in pts:
-            if s_at(a, b, c, d, phi_tab[x]) != psi_tab[s_at(a, b, c, d, x)]:
-                break
-        else:
-            s = Mobius(K, elems[a], elems[b], elems[c], elems[d])
-            if not need_exact or is_conjugating(s, phi, psi):
+    for y0 in targets[x0]:
+        for rest in itertools.product(*(targets[x] for x in extra)):
+            dst = head_psi[y0] + rest
+            if len(set(dst)) < 3:
+                continue
+            s = mobius_from_three_points(K, src + tuple(extra), dst)
+            if all(s.apply(img_phi[x]) == img_psi[s.apply(x)] for x in pts) and (
+                    not need_exact or is_conjugating(s, phi, psi)):
                 found.append(s)
     return _sorted_mobius(found)
 
@@ -237,17 +227,18 @@ def conj_invariant_sets(phi: RatMap, psi: RatMap):
     K = phi.K
     if K.order is None:
         raise TypeError("invariant-set search needs a finite ground field")
-    reason = types_rule_out_conjugacy(phi, psi)
+    same = psi == phi  # for Aut the type test cannot fail; reuse phi's data
+    reason = None if same else types_rule_out_conjugacy(phi, psi)
     if reason:
         return [], [], reason
     R_phi, counts_phi = _invariant_form(phi)
-    R_psi, counts_psi = _invariant_form(psi)
+    R_psi, counts_psi = (R_phi, counts_phi) if same else _invariant_form(psi)
     if counts_phi != counts_psi:
         return [], [], "invariant point set size mismatch"
 
-    E = _splitting_field(K, (R_phi, R_psi))
+    E = _splitting_field(K, {R_phi, R_psi})
     T_phi = _form_points_over(K, E, R_phi)
-    T_psi = _form_points_over(K, E, R_psi)
+    T_psi = T_phi if same else _form_points_over(K, E, R_psi)
     if E is K:
         phiE, psiE = phi, psi
     else:
@@ -310,11 +301,18 @@ def _unity_data(K, d: int):
     return sorted(T, key=K.sort_key), quads
 
 
-def _quad_factors(K, f):
-    """Monic irreducible quadratic factors of a dehomogenized polynomial."""
-    if K.char == 0:
-        return list(small_factors_qq(f)[1])
-    return [g for g, _ in factors_up_to(K, f, 2) if P.pdeg(g) == 2]
+def _roots_and_quads(K, F):
+    """Sorted rational roots of a form, and the monic irreducible quadratic
+    factors of its dehomogenization; over Q from one small_factors_qq call."""
+    f = P.dehom(K, F)
+    if K.char != 0:
+        quads = [g for g, _ in factors_up_to(K, f, 2) if P.pdeg(g) == 2]
+        return form_rational_roots(K, F), quads
+    linears, quads = small_factors_qq(f)
+    roots = [(-c0, K.one) for c0, _ in linears]
+    if P.form_ymult(K, F):
+        roots.append(infinity(K))
+    return sorted(roots, key=lambda pt: point_key(K, pt)), quads
 
 
 def _quad_pair_candidates(phi: RatMap, b, c, xi_quads):
@@ -401,7 +399,8 @@ def aut_fixed_points(phi: RatMap) -> list:
     out = {Mobius.identity(K)}
     fix = phi.fixed_point_form()
     dyn = phi.dynatomic_2()
-    Z11 = form_rational_roots(K, fix)
+    Z11, fix_quads = _roots_and_quads(K, fix)
+    dyn_roots, dyn_quads = _roots_and_quads(K, dyn)
     T, xi_quads = _unity_data(K, d)
     zetas = [z for z in T if z != K.one]
 
@@ -417,7 +416,7 @@ def aut_fixed_points(phi: RatMap) -> list:
 
     for x, y in itertools.combinations(Z11, 2):
         push(x, y)
-    for x in form_rational_roots(K, dyn):
+    for x in dyn_roots:
         y = phi.apply(x)
         if y != x:
             push(x, y)
@@ -439,8 +438,8 @@ def aut_fixed_points(phi: RatMap) -> list:
     # factors of the 2-periodic form whose roots phi actually swaps
     p0 = P.dehom(K, phi.F0)
     p1 = P.dehom(K, phi.F1)
-    quad_pairs = list(_quad_factors(K, P.dehom(K, fix)))
-    for m in _quad_factors(K, P.dehom(K, dyn)):
+    quad_pairs = list(fix_quads)
+    for m in dyn_quads:
         swapped = P.pmod(K, P.padd(K, p0, P.pmul(K, (m[1], K.one), p1)), m)
         if not swapped and m not in quad_pairs:
             quad_pairs.append(m)

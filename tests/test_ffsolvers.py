@@ -1,11 +1,13 @@
 """Automorphism and conjugation solvers over finite fields."""
 
+import itertools
 import random
 
 from autconj.finitefield import GF, ExtensionField
 from autconj.ffsolvers import (
     _aut_ff_fixed_points,
     _invariant_form,
+    _orbit_table,
     aut_exhaustive,
     aut_ff,
     aut_fixed_points,
@@ -18,7 +20,15 @@ from autconj.ffsolvers import (
 from autconj.factor import form_distinct_root_count, roots_ff
 from autconj.groups import group_structure, is_closed
 from autconj.poly import dehom, form_degree, pstrip
-from autconj.projline import Mobius, RatMap, conjugate_map, is_automorphism, is_conjugating, random_map_ff
+from autconj.projline import (
+    Mobius,
+    RatMap,
+    conjugate_map,
+    infinity,
+    is_automorphism,
+    is_conjugating,
+    random_map_ff,
+)
 
 
 def _zmap(K, num, den):
@@ -63,6 +73,74 @@ def test_every_exhaustive_element_verifies():
             assert is_closed(els)
             for s in els:
                 assert is_automorphism(s, phi)
+
+
+def _pgl2(K):
+    """All of PGL2(K), straight from the nonsingular 4-tuples."""
+    els = list(K.elements())
+    return {Mobius(K, a, b, c, d) for a, b, c, d in itertools.product(els, repeat=4)
+            if K.sub(K.mul(a, d), K.mul(b, c)) != K.zero}
+
+
+def _conj_oracle(group, phi, psi):
+    return {s.t for s in group if is_conjugating(s, phi, psi)}
+
+
+def _orbits(phi):
+    K = phi.K
+    pts = [(e, K.one) for e in K.elements()] + [infinity(K)]
+    _, heads, sigs = _orbit_table(phi, pts)
+    return max(len(h) for h in heads.values()), set(sigs.values())
+
+
+def test_exhaustive_matches_brute_force_oracle():
+    rng = random.Random(67)
+    for K in (GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2)):
+        group = _pgl2(K)
+        assert len(group) == K.order * (K.order ** 2 - 1)
+        for _ in range(2):
+            phi = random_map_ff(K, rng.randrange(2, 5), rng)
+            f = rng.choice(sorted(group, key=Mobius.sort_key))
+            psi = conjugate_map(phi, f)
+            other = random_map_ff(K, phi.d, rng)
+            for target in (phi, psi, other):
+                want = _conj_oracle(group, phi, target)
+                assert {m.t for m in conj_exhaustive(phi, target)} == want, (K, phi, target)
+
+
+def test_exhaustive_every_head_length():
+    # the longest forward head has 1, 2 and 3 points: orbits pin one, two
+    # and three points of the triple, the rest range over their signature
+    K3, K2, K5 = GF(3), GF(2), GF(5)
+    cases = [
+        (_zmap(K3, (0, 0, 0, 1), (1,)), 1),   # z^3 fixes all of P^1(F_3)
+        (_zmap(K2, (1,), (0, 0, 1)), 2),      # 1/z^2 swaps 0 and infinity
+        (_zmap(K5, (1, 0, 1), (1,)), 3),      # z^2 + 1: 0 -> 1 -> 2
+    ]
+    for phi, longest in cases:
+        assert _orbits(phi)[0] == longest
+        group = _pgl2(phi.K)
+        f = max(group, key=Mobius.sort_key)
+        psi = conjugate_map(phi, f)
+        for target in (phi, psi):
+            want = _conj_oracle(group, phi, target)
+            assert want
+            assert {m.t for m in conj_exhaustive(phi, target)} == want
+    assert len(conj_exhaustive(cases[0][0], cases[0][0])) == 24
+
+
+def test_exhaustive_same_types_not_conjugate():
+    # the fixed-point factorization types agree, but phi has a point
+    # signature that psi lacks, so the scan has no target to pin
+    K = GF(7)
+    phi = _zmap(K, (1, 3, 1), (0, 4, 1))
+    psi = _zmap(K, (1,), (4, 6, 2))
+    assert types_rule_out_conjugacy(phi, psi) is None
+    assert _orbits(phi)[1] - _orbits(psi)[1]
+    assert conj_exhaustive(phi, psi) == []
+    assert _conj_oracle(_pgl2(K), phi, psi) == set()
+    res = conj_ff(phi, psi)
+    assert res.algorithm == "exhaustive" and not res.is_conjugate
 
 
 def test_aut_order_p_examples():
