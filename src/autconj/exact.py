@@ -1,4 +1,4 @@
-"""Exact integer/rational helpers: CRT, rational reconstruction, lattice lifts.
+"""Exact integer/rational helpers: CRT, lattice lifts.
 
 The lattice code exists for one job: given a residue vector r mod N that is
 known to be the reduction of a projective point of small height, recover all
@@ -89,32 +89,6 @@ def crt_combine(pairs: Sequence[tuple[Sequence[int], int]]) -> tuple[tuple[int, 
     for i in range(4):
         out[i], n = crt_int([(vec[i], m) for vec, m in normed])
     return tuple(out), n
-
-
-def rational_reconstruct(a: int, n: int, bound: int) -> Optional[Fraction]:
-    """Recover r/t = a (mod n) with |r| <= bound, 0 < t <= bound, or None.
-
-    Classic half-extended Euclid.  When bound^2 < n/2 the answer, if it
-    exists, is unique; callers in this package always verify downstream, so
-    we do not insist on that inequality here.
-    """
-    if n <= 0 or bound <= 0:
-        raise ValueError("need n > 0 and bound > 0")
-    if a % n == 0:
-        return Fraction(0)
-    r0, r1 = n, a % n
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if r1 == 0 or abs(t1) > bound:
-        return None
-    if t1 < 0:
-        r1, t1 = -r1, -t1
-    if math.gcd(abs(r1), t1) != 1 or math.gcd(t1, n) != 1:
-        return None
-    return Fraction(r1, t1)
 
 
 def hnf_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .domains import QQ
 from .finitefield import PrimeField
+from .ntheory import next_prime
 from . import poly as P
 
 _CZ_SEED = 0xC0FFEE
@@ -263,10 +264,12 @@ def irreducible_poly(K, n: int) -> tuple:
     if n == 1:
         return (K.zero, K.one)
     elems = list(K.elements())
-    for a in elems:
-        f = (a,) + (K.zero,) * (n - 1) + (K.one,)
-        if is_irreducible(K, f):
-            return f
+    # when p = char K divides n, x^n + a = (x^(n/p) + a^(1/p))^p
+    if n % K.char:
+        for a in elems:
+            f = (a,) + (K.zero,) * (n - 1) + (K.one,)
+            if is_irreducible(K, f):
+                return f
     for b in elems:
         for a in elems:
             f = (a, b) + (K.zero,) * (n - 2) + (K.one,)
@@ -288,12 +291,6 @@ def form_radical(K, F) -> tuple:
     if P.form_ymult(K, F) > 0:
         return tuple(g) + (K.zero,)
     return tuple(g)
-
-
-def form_distinct_root_count(K, F) -> int:
-    """Number of distinct roots in P^1 over the algebraic closure."""
-    # the radical's declared degree already counts the slot at infinity
-    return P.pdeg(form_radical(K, F))
 
 
 def form_factorization_type(K, F) -> tuple:
@@ -422,7 +419,7 @@ def squarefree_part_qq(f) -> tuple[int, ...]:
     fi = P.primitive(tuple(int(c * den) for c in fq))
     probe = 3
     for _ in range(25):
-        probe = _next_odd_prime(probe)
+        probe = next_prime(probe)
         if fi[-1] % probe == 0:
             continue
         Kp = PrimeField(probe)
@@ -484,7 +481,7 @@ def small_factors_qq(F) -> tuple[list, list]:
     p = 3
     tried = 0
     while tried < 3:
-        p = _next_odd_prime(p)
+        p = next_prime(p)
         if lead % p == 0:
             continue
         K = PrimeField(p)
@@ -534,12 +531,6 @@ def small_factors_qq(F) -> tuple[list, list]:
     return linears, quads
 
 
-def _next_odd_prime(p: int) -> int:
-    from .ntheory import next_prime
-    q = next_prime(p)
-    return q if q > 2 else 3
-
-
 def _deg_le2_part(K, f):
     """gcd(f, x^(p^2) - x): the factors of degree dividing 2."""
     x = P.pmono(K, 1)
@@ -578,23 +569,3 @@ def _ppow_mod_int(f, p: int, e: int):
         base = mod(mul(base, base))
         e >>= 1
     return tuple(out)
-
-
-def rational_roots_qq(F) -> list[tuple[Fraction, int]]:
-    """[(root, multiplicity)] of an integer polynomial, over Q."""
-    linears, _ = small_factors_qq(F)
-    fq = P.pstrip(QQ, tuple(Fraction(c) for c in F))
-    out = []
-    for c0, _one in linears:
-        root = -c0
-        mult = 0
-        cur = fq
-        while True:
-            q, rem = P.pdivmod(QQ, cur, (c0, Fraction(1)))
-            if rem:
-                break
-            mult += 1
-            cur = q
-        out.append((root, mult))
-    out.sort(key=lambda t: t[0])
-    return out

@@ -13,9 +13,11 @@ Three engines, in increasing sophistication:
   * the fixed-point method for Aut only: an automorphism of finite order
     has its own fixed points constrained to sit among the fixed points,
     2-periodic points and first preimages of the map, which cuts the
-    search to a handful of explicitly constructible candidates.  The
-    order-p search (p the characteristic) handles the unipotent elements
-    the diagonalizable analysis cannot see.
+    search to a handful of explicitly constructible candidates.  Its
+    char-p loop covers the unipotent elements (order p, the
+    characteristic) the diagonalizable analysis cannot see: such an
+    element fixes a single point, a rational fixed point of the map, and
+    is a translation there.
 
 Everything returns exact results; every candidate is confirmed with the
 exact conjugation identity before it is reported.
@@ -38,7 +40,6 @@ from .factor import (
     roots_ff,
     form_factorization_type,
     form_radical,
-    form_distinct_root_count,
     irreducible_poly,
     small_factors_qq,
 )
@@ -391,8 +392,12 @@ def aut_fixed_points(phi: RatMap) -> list:
     two) fixed points of s.  Rational pairs of fixed points therefore sit
     inside the rational fixed points, rational 2-cycles and rational
     first preimages of fixed points of phi; conjugate quadratic pairs
-    come from quadratic factors of the same data; and an s with a single
-    fixed point is unipotent of order p, handled by the char-p loop.
+    come from quadratic factors of the same data.  An s with a single
+    fixed point x is unipotent of order p = char K: x is a rational fixed
+    point of phi, and moving x to infinity makes s a translation z + lam.
+    Its powers are the translations by the F_p-multiples of lam, so the
+    char-p loop tries one lam per class of K^* modulo F_p^* at each
+    rational fixed point, which finds every order-p automorphism.
     """
     K = phi.K
     d = phi.d
@@ -480,88 +485,8 @@ def aut_fixed_points(phi: RatMap) -> list:
     return _sorted_mobius(out)
 
 
-def aut_order_p(phi: RatMap) -> list:
-    """The automorphisms of order p = char(F_q), found through their
-    action on the fixed points of phi (or on the first preimages of the
-    unique fixed point).
-
-    An order-p element is unipotent: one fixed point x, necessarily a
-    rational fixed point of phi, and it moves every other point of the
-    invariant set in p-cycles, which forces the counting congruences
-    used as entry tests.
-    """
-    K = phi.K
-    if K.order is None:
-        raise TypeError("order-p search needs a finite ground field")
-    p = K.char
-    d = phi.d
-    if (d**3 - d) % p != 0:
-        return []
-    fix = phi.fixed_point_form()
-    nfix = form_distinct_root_count(K, fix)
-    if nfix % p != 1:
-        return []
-    if nfix == 1:
-        pre = P.form_compose(K, fix, phi.F0, phi.F1)
-        if form_distinct_root_count(K, pre) % p != 1:
-            return []
-        T_form = form_radical(K, pre)
-    else:
-        T_form = form_radical(K, fix)
-    rational_fixed = form_rational_roots(K, fix)
-    if not rational_fixed:
-        return []
-
-    E = _splitting_field(K, (T_form,))
-    TE = _form_points_over(K, E, T_form)
-    if E is K:
-        emb = retract = lambda t: t
-    else:
-        emb, retract = E.embed, E.retract
-
-    out = set()
-    ident = (K.one, K.zero, K.zero, K.one)
-    for x in rational_fixed:
-        if is_infinity(K, x):
-            u = uinv = ident
-        else:
-            u = (K.zero, K.one, K.one, K.neg(x[0]))
-            uinv = (K.neg(x[0]), K.neg(K.one), K.neg(K.one), K.zero)
-        uE = tuple(emb(t) for t in u)
-        xE = (emb(x[0]), emb(x[1]))
-        others = [(pt, k) for pt, k in TE if pt != xE]
-        if len(others) < 2:
-            continue
-        y1, k1 = others[0]
-
-        def u_val(pt):
-            num = E.add(E.mul(uE[0], pt[0]), E.mul(uE[1], pt[1]))
-            den = E.add(E.mul(uE[2], pt[0]), E.mul(uE[3], pt[1]))
-            return E.div(num, den)
-
-        v1 = u_val(y1)
-        for y2, k2 in others[1:]:
-            if k1 % k2 != 0:
-                continue
-            lam = retract(E.sub(u_val(y2), v1))
-            if lam is None or lam == K.zero:
-                continue
-            smat = mat_mul(K, mat_mul(K, uinv, (K.one, lam, K.zero, K.one)), u)
-            s = Mobius(K, *smat)
-            if s not in out and is_automorphism(s, phi):
-                t = s
-                for _ in range(p - 1):
-                    out.add(t)
-                    t = t.compose(s)
-    return _sorted_mobius(out)
-
-
 # ---------------------------------------------------------------------------
 # drivers
-
-def _aut_ff_fixed_points(phi: RatMap) -> list:
-    return _sorted_mobius(set(aut_fixed_points(phi)) | set(aut_order_p(phi)))
-
 
 def aut_ff(phi: RatMap, algorithm: str = "auto") -> AutResult:
     """Automorphism group of a rational map over a finite field."""
@@ -577,7 +502,7 @@ def aut_ff(phi: RatMap, algorithm: str = "auto") -> AutResult:
     elif algorithm == "invariant-sets":
         _, els, _ = conj_invariant_sets(phi, phi)
     elif algorithm == "fixed-points":
-        els = _aut_ff_fixed_points(phi)
+        els = aut_fixed_points(phi)
     else:
         raise ValueError("unknown algorithm %r" % algorithm)
     return AutResult(tuple(els), group_structure(els), algorithm)

@@ -18,10 +18,6 @@ from collections import Counter
 CLOSURE_CAP = 200000
 
 
-def element_orders(elements) -> list[int]:
-    return [s.order() for s in elements]
-
-
 def is_closed(elements) -> bool:
     """Whether the list is closed under composition (and hence a group,
     being a finite set of invertible elements)."""

@@ -1,4 +1,4 @@
-"""Small integer number theory: primality, prime streams, factoring.
+"""Small integer number theory: primality, the next prime, factoring.
 
 Deterministic Miller-Rabin witness set is valid for n < 3.3 * 10^24, far
 beyond anything this package feeds it (moduli stay well under 2^64 in the
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -52,14 +51,6 @@ def next_prime(n: int) -> int:
     while not is_prime(k):
         k += 2
     return k
-
-
-def primes_from(start: int) -> Iterator[int]:
-    """Yield primes >= start in increasing order, forever."""
-    p = start - 1
-    while True:
-        p = next_prime(p)
-        yield p
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:

@@ -162,14 +162,6 @@ def peval(K, f, x):
     return acc
 
 
-def pcompose(K, f, g) -> Poly:
-    """f(g(x)) by Horner."""
-    acc: Poly = ()
-    for c in reversed(f):
-        acc = padd(K, pmul(K, acc, g), pconst(K, c))
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # integer-coefficient helpers
 
@@ -196,10 +188,6 @@ def primitive(f: Sequence[int]) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # binary forms
-
-def form_degree(F) -> int:
-    return len(F) - 1
-
 
 def dehom(K, F) -> Poly:
     """F(x, 1) as a polynomial; drops the Y-multiplicity information."""

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from . import poly as P
 from .domains import QQ, ZZ
 from .exact import canonical_proj, proj_height
-from .factor import rational_roots_qq, roots_ff
+from .factor import roots_ff, small_factors_qq
 from .finitefield import PrimeField
 
 
@@ -429,7 +428,7 @@ def form_rational_roots(K, F) -> list:
     if len(f) < len(F):  # Y divides F
         pts.append(infinity(K))
     if K.char == 0:
-        pts.extend((r, K.one) for r, _ in rational_roots_qq(f))
+        pts.extend((-c0, K.one) for c0, _ in small_factors_qq(f)[0])
     else:
         pts.extend((r, K.one) for r, _ in roots_ff(K, f))
     return sorted(pts, key=lambda p: point_key(K, p))

@@ -30,7 +30,7 @@ import math
 from .domains import QQ, ZZ
 from .exact import crt_combine, l2_norm_sq, shortest_congruent_lift
 from .factor import form_radical_qq
-from .ffsolvers import _aut_ff_fixed_points, _sorted_mobius, aut_fixed_points, conj_ff
+from .ffsolvers import _sorted_mobius, aut_fixed_points, conj_ff
 from .groups import closure, group_structure
 from .ntheory import divisors, next_prime
 from . import poly as P
@@ -147,7 +147,7 @@ def _aut_crt(phi: RatMap) -> AutResult:
             raise RuntimeError("CRT search used %d primes without terminating"
                                % PRIME_CAP)
         p = next(stream)
-        fib = _aut_ff_fixed_points(phi.reduce_mod_p(p))
+        fib = aut_fixed_points(phi.reduce_mod_p(p))
         fibers.append((p, fib))
         vec_fibers.append((p, [s.t for s in fib]))
         use = _choose_fibers(vec_fibers)
@@ -178,14 +178,13 @@ def _aut_crt(phi: RatMap) -> AutResult:
                      height_bound=M)
 
 
-def _conj_crt(phi: RatMap, psi: RatMap, reuse_coset: bool = True) -> ConjResult:
+def _conj_crt(phi: RatMap, psi: RatMap) -> ConjResult:
     if phi.d != psi.d:
         return ConjResult((), "crt", "degree mismatch")
     M = conjugacy_height_bound(phi, psi)
     stream = _good_primes([phi, psi])
     fibers = []
     vec_fibers = []
-    found = set()
     rejected = set()
     last_used = None
     while True:
@@ -212,28 +211,19 @@ def _conj_crt(phi: RatMap, psi: RatMap, reuse_coset: bool = True) -> ConjResult:
                 if v in rejected:
                     continue
                 s = Mobius(QQ, *v)
-                if s in found:
-                    continue
-                if not is_conjugating(s, phi, psi):
-                    rejected.add(v)
-                    continue
-                if reuse_coset:
-                    # one rational conjugation f determines the rest:
-                    # Conj = f . Aut(phi)
+                if is_conjugating(s, phi, psi):
+                    # one rational conjugation s determines the rest:
+                    # Conj = s . Aut(phi)
                     aut = aut_qq(phi)
                     els = _sorted_mobius(s.compose(a) for a in aut.elements)
                     return ConjResult(tuple(els), "crt", "",
                                       primes=tuple(q for q, _ in fibers),
                                       fibers=tuple(len(f) for _, f in fibers),
                                       height_bound=M)
-                found.add(s)
-        if found and any(len(found) == len(fib) for _, fib in fibers):
-            break
+                rejected.add(v)
         if N > 2 * M * M:
             break
-    els = _sorted_mobius(found)
-    reason = "" if els else "no conjugation of height at most %d" % M
-    return ConjResult(tuple(els), "crt", reason,
+    return ConjResult((), "crt", "no conjugation of height at most %d" % M,
                       primes=tuple(p for p, _ in fibers),
                       fibers=tuple(len(fib) for _, fib in fibers),
                       height_bound=M)
@@ -254,8 +244,7 @@ def aut_qq(phi: RatMap, algorithm: str = "auto") -> AutResult:
     raise ValueError("unknown algorithm %r" % algorithm)
 
 
-def conj_qq(phi: RatMap, psi: RatMap, algorithm: str = "auto",
-            reuse_coset: bool = True) -> ConjResult:
+def conj_qq(phi: RatMap, psi: RatMap, algorithm: str = "auto") -> ConjResult:
     """Conjugating set between two rational maps over Q."""
     if phi.K is not QQ or psi.K is not QQ:
         raise TypeError("conj_qq needs maps over Q")
@@ -263,4 +252,4 @@ def conj_qq(phi: RatMap, psi: RatMap, algorithm: str = "auto",
         algorithm = "crt"
     if algorithm != "crt":
         raise ValueError("unknown algorithm %r" % algorithm)
-    return _conj_crt(phi, psi, reuse_coset=reuse_coset)
+    return _conj_crt(phi, psi)

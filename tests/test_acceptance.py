@@ -12,7 +12,7 @@ import time
 from autconj.cli import main as cli_main
 from autconj.cli import parse_map, DEFAULT_BENCH_DEGREES, DEFAULT_BENCH_HEIGHTS
 from autconj.domains import QQ
-from autconj.ffsolvers import _aut_ff_fixed_points, aut_exhaustive, aut_ff, conj_invariant_sets
+from autconj.ffsolvers import aut_exhaustive, aut_ff, aut_fixed_points, conj_invariant_sets
 from autconj.finitefield import GF
 from autconj.groups import is_closed
 from autconj.projline import (
@@ -159,7 +159,7 @@ def test_criterion_3_three_engines_agree():
             for _ in range(50):
                 phi = random_map_ff(K, d, rng)
                 ex = {m.t for m in aut_exhaustive(phi)}
-                fp = {m.t for m in _aut_ff_fixed_points(phi)}
+                fp = {m.t for m in aut_fixed_points(phi)}
                 if fp != ex:
                     ok = False
                     detail = "fp!=ex p=%d %s/%s" % (p, phi.F0, phi.F1)
@@ -221,7 +221,7 @@ def test_criterion_5_structural_properties():
         good = [p for p in (5, 7, 11, 13, 17, 19, 23, 29) if phi.is_good_prime(p)][:2]
         for p in good:
             phip = phi.reduce_mod_p(p)
-            fib = {m.t for m in _aut_ff_fixed_points(phip)}
+            fib = {m.t for m in aut_fixed_points(phip)}
             for s in els:
                 sp = Mobius(phip.K, *[c % p for c in s.coeff_ints()])
                 if sp.t not in fib:

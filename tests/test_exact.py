@@ -1,4 +1,4 @@
-"""Integer CRT, rational reconstruction, and short-lattice-vector lifting."""
+"""Integer CRT and short-lattice-vector lifting."""
 
 import math
 import random
@@ -12,7 +12,6 @@ from autconj.exact import (
     l2_norm_sq,
     lll_reduce,
     proj_height,
-    rational_reconstruct,
     shortest_congruent_lift,
 )
 
@@ -75,30 +74,6 @@ def test_crt_combine_no_unit_coordinate():
         assert False
     except ValueError:
         pass
-
-
-def test_rational_reconstruct_examples():
-    assert rational_reconstruct(3, 101, 7) == Fraction(3)
-    assert rational_reconstruct(51, 101, 7) == Fraction(1, 2)
-    assert rational_reconstruct(67, 101, 7) == Fraction(-1, 3)
-
-
-def test_rational_reconstruct_scan():
-    # every fraction r/t within the bound comes back exactly
-    for n in (101, 97, 103):
-        b = math.isqrt((n - 1) // 2)
-        for r in range(-b, b + 1):
-            for t in range(1, b + 1):
-                if math.gcd(abs(r), t) != 1 or t % n == 0:
-                    continue
-                a = r * pow(t, -1, n) % n
-                got = rational_reconstruct(a, n, b)
-                assert got == Fraction(r, t), (r, t, n, got)
-
-
-def test_rational_reconstruct_none():
-    # 2^-1 mod 101 is 51; with bound 1 no small fraction exists
-    assert rational_reconstruct(51, 101, 1) is None
 
 
 def test_canonical_proj_and_height():

@@ -9,19 +9,18 @@ from autconj.factor import (
     factor_ff,
     factorization_type,
     factors_up_to,
-    form_distinct_root_count,
     form_factorization_type,
     form_radical,
     form_radical_qq,
     irreducible_poly,
     is_irreducible,
-    rational_roots_qq,
     roots_ff,
     small_factors_qq,
     squarefree_decomposition,
     squarefree_part_qq,
 )
 from autconj.finitefield import GF
+from autconj.projline import form_rational_roots
 
 
 def _rand_monic(K, deg, rng):
@@ -145,14 +144,30 @@ def test_irreducible_poly_search():
     assert irreducible_poly(K, 6) == irreducible_poly(K, 6)
 
 
+def test_irreducible_poly_when_char_divides_degree():
+    # p | n makes every binomial x^n + a a p-th power, so the search starts
+    # at the trinomials and returns the same modulus as a full scan
+    cases = [
+        (GF(2), 6, (1, 1, 0, 0, 0, 0, 1)),
+        (GF(2, 2), 2, ((0, 1), (0, 1), (1, 0))),
+        (GF(3), 3, (1, 2, 0, 1)),
+        (GF(5, 2), 5, ((0, 1), (1, 0), (0, 0), (0, 0), (0, 0), (1, 0))),
+    ]
+    for K, n, want in cases:
+        zeros = (K.zero,) * (n - 1)
+        assert not any(is_irreducible(K, (a,) + zeros + (K.one,)) for a in K.elements())
+        assert irreducible_poly(K, n) == want
+
+
 def test_form_radical_and_types():
     K5 = GF(5)
     # XY(Y - X): three distinct roots 0, 1 (wait: Y - X vanishes at (1:1)), infinity
     F = (0, 1, -1 % 5, 0)
     assert form_factorization_type(K5, F) == ((1, 1), (1, 1), (1, 1))
-    assert form_distinct_root_count(K5, F) == 3
+    # the radical's declared degree counts the distinct roots, infinity included
     rad = form_radical(K5, F)
-    assert form_distinct_root_count(K5, rad) == 3
+    assert P.pdeg(rad) == 3
+    assert P.pdeg(form_radical(K5, rad)) == 3
     # Y * (X^2 - XY + Y^2): the quadratic has no root mod 5
     G = P.form_mul(K5, (1, 0), (1, -1 % 5, 1))
     assert form_factorization_type(K5, G) == ((1, 1), (2, 1))
@@ -160,7 +175,7 @@ def test_form_radical_and_types():
     K7 = GF(7)
     H = (1, -2 % 7, 1)
     assert form_factorization_type(K7, H) == ((1, 2),)
-    assert form_distinct_root_count(K7, H) == 1
+    assert P.pdeg(form_radical(K7, H)) == 1
 
 
 def test_form_radical_drops_multiplicity():
@@ -219,22 +234,27 @@ def test_small_factors_divide_input():
             assert P.pmod(QQ, f, g) == ()
 
 
-def test_rational_roots_qq():
-    assert rational_roots_qq((0, -1, 1)) == [(Fraction(0), 1), (Fraction(1), 1)]
-    assert rational_roots_qq((1, 0, 1)) == []
+def _affine_roots_qq(f):
+    return [x for x, _ in form_rational_roots(QQ, f)]
+
+
+def test_form_rational_roots_over_q():
+    assert _affine_roots_qq((0, -1, 1)) == [Fraction(0), Fraction(1)]
+    assert _affine_roots_qq((1, 0, 1)) == []
     # 2x^2 - x - 1 = (2x + 1)(x - 1)
-    assert rational_roots_qq((-1, -1, 2)) == [(Fraction(-1, 2), 1), (Fraction(1), 1)]
+    assert _affine_roots_qq((-1, -1, 2)) == [Fraction(-1, 2), Fraction(1)]
 
 
-def test_rational_roots_qq_brute():
+def test_form_rational_roots_over_q_brute():
     rng = random.Random(15)
     for _ in range(30):
         f = tuple(rng.randrange(-8, 9) for _ in range(rng.randrange(2, 7)))
         f = P.pstrip(QQ, f)
         if P.pdeg(f) < 1:
             continue
-        got = rational_roots_qq(f)
-        for r, m in got:
+        got = _affine_roots_qq(f)
+        assert got == sorted(set(got))
+        for r in got:
             assert P.peval(QQ, f, r) == 0
         # rational root theorem scan for candidates
         a0 = f[0]
@@ -251,7 +271,7 @@ def test_rational_roots_qq_brute():
                     cands.add(Fraction(-p, q))
             cands.add(Fraction(0))
             roots = {r for r in cands if P.peval(QQ, f, r) == 0}
-            assert {r for r, _ in got} == roots
+            assert set(got) == roots
 
 
 def test_squarefree_part_qq():

@@ -5,21 +5,19 @@ import random
 
 from autconj.finitefield import GF, ExtensionField
 from autconj.ffsolvers import (
-    _aut_ff_fixed_points,
     _invariant_form,
     _orbit_table,
     aut_exhaustive,
     aut_ff,
     aut_fixed_points,
-    aut_order_p,
     conj_exhaustive,
     conj_ff,
     conj_invariant_sets,
     types_rule_out_conjugacy,
 )
-from autconj.factor import form_distinct_root_count, roots_ff
+from autconj.factor import form_radical, roots_ff
 from autconj.groups import group_structure, is_closed
-from autconj.poly import dehom, form_degree, pstrip
+from autconj.poly import dehom, pdeg, pstrip
 from autconj.projline import (
     Mobius,
     RatMap,
@@ -143,16 +141,21 @@ def test_exhaustive_same_types_not_conjugate():
     assert res.algorithm == "exhaustive" and not res.is_conjugate
 
 
-def test_aut_order_p_examples():
+def _order_p_part(phi):
+    p = phi.K.char
+    return [s for s in aut_fixed_points(phi) if s.order() == p]
+
+
+def test_fixed_points_order_p_examples():
     K3 = GF(3)
     z3 = _zmap(K3, (0, 0, 0, 1), (1,))
-    got = {m.t for m in aut_order_p(z3)}
+    got = {m.t for m in _order_p_part(z3)}
     want = {m.t for m in aut_exhaustive(z3) if m.order() == 3}
     assert got == want and got
     K5 = GF(5)
-    assert aut_order_p(_zmap(K5, (0, 0, 1), (1,))) == []  # 5 does not divide 6
+    assert _order_p_part(_zmap(K5, (0, 0, 1), (1,))) == []  # 5 does not divide 6
     K2 = GF(2)
-    got2 = aut_order_p(_zmap(K2, (0, 0, 1), (1,)))
+    got2 = _order_p_part(_zmap(K2, (0, 0, 1), (1,)))
     assert len(got2) == 3
     for s in got2:
         assert s.order() == 2
@@ -174,7 +177,7 @@ def test_union_matches_exhaustive_small_battery():
             d = rng.randrange(2, 5)
             phi = random_map_ff(K, d, rng)
             ex = {m.t for m in aut_exhaustive(phi)}
-            fp = {m.t for m in _aut_ff_fixed_points(phi)}
+            fp = {m.t for m in aut_fixed_points(phi)}
             assert fp == ex, (p, phi.F0, phi.F1)
 
 
@@ -198,11 +201,11 @@ def test_invariant_form_pullback():
     phi = _zmap(K, (3, 0, 1), (1,))
     R, counts = _invariant_form(phi)
     assert counts[-1] >= 3
-    assert form_distinct_root_count(K, R) == 3
+    assert pdeg(form_radical(K, R)) == 3
     g = dehom(K, R)
     assert {r for r, _ in roots_ff(K, g)} == {K.from_int(5), K.from_int(6)}
     # infinity is in the set: the form has a factor of Y
-    assert form_degree(R) > len(pstrip(K, R)) - 1
+    assert pdeg(R) > len(pstrip(K, R)) - 1
 
 
 def test_invariant_form_immediate_when_big_enough():
@@ -337,13 +340,26 @@ def test_aut_over_quadratic_extension():
 
 
 def test_extension_random_agreement():
+    # over extension fields the char-p loop tries one translation per
+    # F_p-line of the field: z^p, whose Aut is PGL2(F_p), its twists by
+    # elements of PGL2(F_q), and seeded random maps
     rng = random.Random(65)
-    K = GF(3, 2)
-    for _ in range(6):
-        phi = random_map_ff(K, rng.randrange(2, 4), rng)
-        ex = {m.t for m in aut_exhaustive(phi)}
-        fp = {m.t for m in _aut_ff_fixed_points(phi)}
-        assert fp == ex
+    for K in (GF(2, 2), GF(2, 3), GF(3, 2), GF(2, 4), GF(5, 2)):
+        p = K.char
+        zp = _zmap(K, (K.zero,) * p + (K.one,), (K.one,))
+        maps = [zp]
+        for _ in range(2):
+            while True:
+                a, b, c, d = (K.random_element(rng) for _ in range(4))
+                if K.sub(K.mul(a, d), K.mul(b, c)) != K.zero:
+                    break
+            maps.append(conjugate_map(zp, Mobius(K, a, b, c, d)))
+        maps += [random_map_ff(K, rng.randrange(2, 5), rng) for _ in range(4)]
+        for phi in maps:
+            ex = {m.t for m in aut_exhaustive(phi)}
+            fp = {m.t for m in aut_fixed_points(phi)}
+            assert fp == ex, (K.order, phi.F0, phi.F1)
+        assert len(aut_fixed_points(zp)) == p * (p * p - 1)
 
 
 def test_conj_different_fields_rejected():

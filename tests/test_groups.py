@@ -2,7 +2,7 @@
 
 from autconj.domains import QQ
 from autconj.finitefield import GF
-from autconj.groups import closure, element_orders, group_structure, is_closed
+from autconj.groups import closure, group_structure, is_closed
 from autconj.projline import Mobius
 
 
@@ -36,7 +36,7 @@ def test_s3_is_d6():
         _m(QQ, -1, -1, 0, 1),   # -z-1
         _m(QQ, -1, 0, 1, 1),    # -z/(z+1)
     ]
-    assert sorted(element_orders(els)) == [1, 2, 2, 2, 3, 3]
+    assert sorted(s.order() for s in els) == [1, 2, 2, 2, 3, 3]
     assert group_structure(els) == "D6"
 
 

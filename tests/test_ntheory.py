@@ -2,7 +2,7 @@
 
 import random
 
-from autconj.ntheory import divisors, factorint, is_prime, next_prime, primes_from
+from autconj.ntheory import divisors, factorint, is_prime, next_prime
 
 
 def _trial_prime(n):
@@ -39,12 +39,6 @@ def test_next_prime():
         p = next_prime(p)
         seen.append(p)
     assert seen == [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-
-
-def test_primes_from():
-    it = primes_from(5)
-    got = [next(it) for _ in range(6)]
-    assert got == [5, 7, 11, 13, 17, 19]
 
 
 def test_factorint_roundtrip():

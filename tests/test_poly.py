@@ -107,8 +107,12 @@ def test_eval_compose():
         f = _rand_poly(K, rng.randrange(0, 5), rng)
         g = _rand_poly(K, rng.randrange(0, 4), rng)
         x = K.random_element(rng)
-        # (f o g)(x) = f(g(x))
-        assert P.peval(K, P.pcompose(K, f, g), x) == P.peval(K, f, P.peval(K, g, x))
+        # (f o g)(x) = f(g(x)), with f o g the form F(G, Y^deg g) at Y = 1
+        e = max(len(g) - 1, 0)
+        G0 = g + (K.zero,) * (e + 1 - len(g))
+        G1 = (K.one,) + (K.zero,) * e
+        fg = P.dehom(K, P.form_compose(K, f, G0, G1))
+        assert P.peval(K, fg, x) == P.peval(K, f, P.peval(K, g, x))
 
 
 def test_deriv():
@@ -219,7 +223,6 @@ def test_form_helpers():
     assert P.form_ymult(QQ, (1, 0, 0, 0)) == 3  # Y^3
     assert P.dehom(QQ, (0, 1, 2)) == (0, 1, 2)
     assert P.dehom(QQ, (1, 2, 0)) == (1, 2)
-    assert P.form_degree((0, 1, 2)) == 2
 
 
 def test_form_mul_matches_poly_mul():

@@ -182,13 +182,13 @@ def test_dynatomic_2():
     # z^2 - 1: 0 and -1 form a 2-cycle, X(X + Y) divides the form
     phi = _zmap((-1, 0, 1), (1,))
     dyn = phi.dynatomic_2()
-    assert P.form_degree(dyn) == 2
+    assert P.pdeg(dyn) == 2
     assert P.form_eval(QQ, dyn, Fraction(0), Fraction(1)) == 0
     assert P.form_eval(QQ, dyn, Fraction(-1), Fraction(1)) == 0
     rng = random.Random(33)
     for _ in range(10):
         psi = random_map_qq(rng.randrange(2, 4), 6, rng)
-        assert P.form_degree(psi.dynatomic_2()) == psi.d * psi.d - psi.d
+        assert P.pdeg(psi.dynatomic_2()) == psi.d * psi.d - psi.d
 
 
 def test_dynatomic_2_roots_are_period_two_points():
@@ -201,7 +201,7 @@ def test_dynatomic_2_roots_are_period_two_points():
         for _ in range(12):
             phi = random_map_ff(K, rng.randrange(2, 5), rng)
             dyn = phi.dynatomic_2()
-            assert P.form_degree(dyn) == phi.d * phi.d - phi.d
+            assert P.pdeg(dyn) == phi.d * phi.d - phi.d
             for x in pts:
                 y = phi.apply(x)
                 period_two = y != x and phi.apply(y) == x

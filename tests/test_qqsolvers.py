@@ -189,14 +189,6 @@ def test_conj_self_is_aut():
     assert {m.t for m in res.elements} == {m.t for m in aut.elements}
 
 
-def test_conj_without_coset_reuse():
-    f = Mobius(QQ, 1, 0, 1, 1)
-    psi = conjugate_map(C4, f)
-    a = conj_qq(C4, psi)
-    b = conj_qq(C4, psi, reuse_coset=False)
-    assert {m.t for m in a.elements} == {m.t for m in b.elements}
-
-
 def test_conj_respects_height_bound():
     f = Mobius(QQ, 1, 2, 1, 1)
     psi = conjugate_map(SIX, f)
@@ -207,12 +199,12 @@ def test_conj_respects_height_bound():
 
 
 def test_good_reduction_lands_in_fiber():
-    from autconj.ffsolvers import _aut_ff_fixed_points
+    from autconj.ffsolvers import aut_fixed_points
 
     res = aut_qq(SIX)
     for p in (5, 7, 11):
         assert SIX.is_good_prime(p)
-        fib = {m.t for m in _aut_ff_fixed_points(SIX.reduce_mod_p(p))}
+        fib = {m.t for m in aut_fixed_points(SIX.reduce_mod_p(p))}
         for s in res.elements:
             sp = Mobius(SIX.reduce_mod_p(p).K, *[c % p for c in s.coeff_ints()])
             assert sp.t in fib
