@@ -103,11 +103,10 @@ def distinct_degree(K, f) -> list[tuple[int, tuple]]:
     return out
 
 
-def equal_degree(K, f, d: int, rng) -> list[tuple]:
-    """Split a monic squarefree product of degree-d irreducibles."""
+def _split(K, f, d: int, rng):
+    """A proper monic factor of f, a monic squarefree product of at least
+    two degree-d irreducibles (Cantor-Zassenhaus)."""
     n = P.pdeg(f)
-    if n == d:
-        return [f]
     q = K.order
     while True:
         a = P.pstrip(K, tuple(K.random_element(rng) for _ in range(n)))
@@ -115,7 +114,7 @@ def equal_degree(K, f, d: int, rng) -> list[tuple]:
             continue
         g = P.pgcd(K, a, f)
         if 0 < P.pdeg(g) < n:
-            break
+            return g
         if q % 2 == 1:
             b = P.ppow_mod(K, a, (q**d - 1) // 2, f)
             g = P.pgcd(K, P.psub(K, b, (K.one,)), f)
@@ -129,8 +128,27 @@ def equal_degree(K, f, d: int, rng) -> list[tuple]:
                 t = P.padd(K, t, s)
             g = P.pgcd(K, t, f)
         if 0 < P.pdeg(g) < n:
-            break
+            return g
+
+
+def equal_degree(K, f, d: int, rng) -> list[tuple]:
+    """Split a monic squarefree product of degree-d irreducibles."""
+    if P.pdeg(f) == d:
+        return [f]
+    g = _split(K, f, d, rng)
     return equal_degree(K, g, d, rng) + equal_degree(K, P.pquo(K, f, g), d, rng)
+
+
+def one_root_ff(K, f):
+    """One root of f, a product of distinct linear factors over finite K:
+    split, and keep only the smaller factor."""
+    rng = random.Random(_CZ_SEED)
+    f = P.pmonic(K, f)
+    while P.pdeg(f) > 1:
+        g = _split(K, f, 1, rng)
+        h = P.pquo(K, f, g)
+        f = g if P.pdeg(g) <= P.pdeg(h) else h
+    return K.neg(f[0])
 
 
 def factor_ff(K, f, rng=None) -> list[tuple[tuple, int]]:
@@ -220,66 +238,6 @@ def factorization_type(K, f) -> tuple:
         for d, prod in distinct_degree(K, part):
             out.extend([(d, mult)] * (P.pdeg(prod) // d))
     return tuple(sorted(out))
-
-
-def is_irreducible(K, f) -> bool:
-    """Irreducibility over a finite field via the Frobenius criterion."""
-    n = P.pdeg(f)
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    q = K.order
-    x = P.pmono(K, 1)
-    if P.ppow_mod(K, x, q**n, f) != P.pmod(K, x, f):
-        return False
-    for ell in _prime_divisors(n):
-        g = P.psub(K, P.ppow_mod(K, x, q ** (n // ell), f), x)
-        if P.pdeg(P.pgcd(K, g, f)) != 0:
-            return False
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def irreducible_poly(K, n: int) -> tuple:
-    """A monic irreducible of degree n over finite K.
-
-    Deterministic for a given (field, n): sparse binomials and trinomials
-    in element order first, then a fixed-seed random search (the density
-    of irreducibles is ~1/n, so this ends fast).
-    """
-    if n == 1:
-        return (K.zero, K.one)
-    elems = list(K.elements())
-    # when p = char K divides n, x^n + a = (x^(n/p) + a^(1/p))^p
-    if n % K.char:
-        for a in elems:
-            f = (a,) + (K.zero,) * (n - 1) + (K.one,)
-            if is_irreducible(K, f):
-                return f
-    for b in elems:
-        for a in elems:
-            f = (a, b) + (K.zero,) * (n - 2) + (K.one,)
-            if is_irreducible(K, f):
-                return f
-    rng = random.Random(_CZ_SEED * (K.order * 1009 + n))
-    while True:
-        f = tuple(rng.choice(elems) for _ in range(n)) + (K.one,)
-        if is_irreducible(K, f):
-            return f
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ Three engines, in increasing sophistication:
     exact; viable while q(q^2 - 1) stays small;
   * the invariant-set method: both maps carry a small canonical point set
     (fixed points, pulled back through the map until it has at least three
-    elements), and any conjugation must carry one set onto the other, so
-    moving one fixed triple onto all ordered triples of the target set
-    enumerates every candidate over a splitting field;
+    elements), and any conjugation must carry one set onto the other and
+    each Frobenius orbit of it onto an orbit of the same degree, so a
+    source triple taken from the smallest orbits and its possible images
+    enumerate every candidate over the stem field of one orbit, whose
+    roots are the Frobenius images of its generator;
   * the fixed-point method for Aut only: an automorphism of finite order
     has its own fixed points constrained to sit among the fixed points,
     2-periodic points and first preimages of the map, which cuts the
@@ -29,7 +31,6 @@ it over Q, where the char-p loop simply never runs.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 
 from . import poly as P
@@ -37,10 +38,10 @@ from .domains import QQ
 from .factor import (
     factor_ff,
     factors_up_to,
+    one_root_ff,
     roots_ff,
     form_factorization_type,
     form_radical,
-    irreducible_poly,
     small_factors_qq,
 )
 from .finitefield import PrimeField, ExtensionField
@@ -52,7 +53,6 @@ from .projline import (
     is_infinity,
     point_key,
     mat_mul,
-    map_lift,
     mobius_from_three_points,
     is_conjugating,
     is_automorphism,
@@ -63,7 +63,7 @@ from .results import AutResult, ConjResult
 # exhaustive search is allowed while |PGL2(F_q)| = q(q^2-1) is below this
 EXHAUSTIVE_CEILING = 1_000_000
 
-# refuse splitting fields beyond this degree over the ground field
+# refuse stem fields beyond this degree over the ground field
 SPLIT_DEGREE_CAP = 24
 
 
@@ -179,51 +179,35 @@ def _invariant_form(phi: RatMap):
     return R, tuple(counts)
 
 
-def _splitting_field(K, forms):
-    """Smallest common field where every root of the given forms lives."""
-    degs = set()
-    for R in forms:
-        for g, _ in factor_ff(K, P.dehom(K, R)):
-            degs.add(P.pdeg(g))
-    L = 1
-    for k in degs:
-        L = L * k // math.gcd(L, k)
-    if L > SPLIT_DEGREE_CAP:
-        raise RuntimeError("splitting field degree %d is out of reach" % L)
-    if L == 1:
-        return K
-    return ExtensionField(K, irreducible_poly(K, L))
-
-
-def _form_points_over(K, E, R):
-    """[(point over E, residue degree over K)] for all roots of R, sorted."""
-    g = P.dehom(K, R)
-    pts = []
-    if P.pdeg(R) > P.pdeg(g):
-        pts.append((infinity(E), 1))
-    for q, _ in factor_ff(K, g):
-        k = P.pdeg(q)
-        if E is K:
-            for r, _ in roots_ff(K, q):
-                pts.append(((r, K.one), k))
+def _frobenius_orbits(K, R):
+    """The roots of the radical form R by Frobenius orbit: the rational
+    points, infinity included, and {k: monic irreducible factors of degree
+    k >= 2}, each factor's k roots making up one orbit."""
+    rational = [infinity(K)] if P.form_ymult(K, R) else []
+    higher = {}
+    for g, _ in factor_ff(K, P.dehom(K, R)):
+        if P.pdeg(g) == 1:
+            rational.append((K.neg(g[0]), K.one))
         else:
-            qe = tuple(E.embed(c) for c in q)
-            for r, _ in roots_ff(E, qe):
-                pts.append(((r, E.one), k))
-    pts.sort(key=lambda t: (t[1], point_key(E, t[0])))
-    return pts
+            higher.setdefault(P.pdeg(g), []).append(g)
+    return rational, higher
 
 
 def conj_invariant_sets(phi: RatMap, psi: RatMap):
-    """(conjugating set over a splitting field E, its rational sublist,
+    """(candidates over the stem field E, Conj over the ground field K,
     reason) via the invariant point sets of the two maps.
 
-    Any conjugation carries the invariant set of phi onto that of psi and
-    is pinned down by where it sends three points, so sending a fixed
-    triple of the source set to every ordered triple of the target set
-    enumerates all of Conj over E.  E splits both invariant sets, hence
-    contains a matrix for every absolute conjugation; the rational
-    sublist is exactly Conj over the ground field.
+    A conjugation s over K carries the invariant set of phi onto that of
+    psi and commutes with Frobenius F, so it sends each Frobenius orbit to
+    an orbit of the same degree, and three points pin it down.  The source
+    triple is taken from the smallest orbits: three rational points; a
+    rational point r and a quadratic pair (a, Fa); two quadratic pairs
+    (a, Fa, c); else (a, Fa, F^2 a) in an orbit of the least degree k >= 3.
+    Its image is (r', b, Fb), (b, Fb, e) or (b, Fb, F^2 b) for b, e in
+    orbits of psi of the same degrees, all of which split in the stem field
+    E = K[x]/(g) of the source orbit's factor g; the roots of g itself are
+    the Frobenius images of x.  A candidate whose entries do not retract to
+    K is not rational; the rest are confirmed with the exact identity.
     """
     K = phi.K
     if K.order is None:
@@ -236,40 +220,71 @@ def conj_invariant_sets(phi: RatMap, psi: RatMap):
     R_psi, counts_psi = (R_phi, counts_phi) if same else _invariant_form(psi)
     if counts_phi != counts_psi:
         return [], [], "invariant point set size mismatch"
+    rat_phi, orb_phi = _frobenius_orbits(K, R_phi)
+    rat_psi, orb_psi = (rat_phi, orb_phi) if same else _frobenius_orbits(K, R_psi)
 
-    E = _splitting_field(K, {R_phi, R_psi})
-    T_phi = _form_points_over(K, E, R_phi)
-    T_psi = T_phi if same else _form_points_over(K, E, R_psi)
-    if E is K:
-        phiE, psiE = phi, psi
+    def degrees(rat, orb):
+        return len(rat), {k: len(gs) for k, gs in orb.items()}
+
+    if degrees(rat_phi, orb_phi) != degrees(rat_psi, orb_psi):
+        return [], [], "invariant set orbit mismatch"
+
+    quads = len(orb_phi.get(2, ()))
+    if len(rat_phi) >= 3:
+        E = K
+        src = tuple(rat_phi[:3])
+        dsts = itertools.permutations(rat_psi, 3)
     else:
-        phiE, psiE = map_lift(phi, E), map_lift(psi, E)
+        k = 2 if quads >= 2 or (quads and rat_phi) else min(k for k in orb_phi if k > 2)
+        if k > SPLIT_DEGREE_CAP:
+            raise RuntimeError("splitting field degree %d is out of reach" % k)
+        g = orb_phi[k][0]
+        E = ExtensionField(K, g)
 
-    src = tuple(pt for pt, _ in T_phi[:3])
-    rest = [pt for pt, _ in T_phi[3:]]
-    targets = [pt for pt, _ in T_psi]
-    target_set = set(targets)
+        def orbit(h):
+            """The roots of h in E as points, in Frobenius order."""
+            # h is irreducible of degree [E : K], so it splits into
+            # distinct linear factors over E
+            b = E.gen if h == g else one_root_ff(E, tuple(E.embed(c) for c in h))
+            out = [b]
+            while len(out) < k:
+                out.append(E.frobenius(out[-1]))
+            return [(b, E.one) for b in out]
 
-    absolute = []
-    for dst in itertools.permutations(targets, 3):
-        try:
-            s = mobius_from_three_points(E, src, dst)
-        except ValueError:
-            continue
-        if any(s.apply(pt) not in target_set for pt in rest):
-            continue
-        if is_conjugating(s, phiE, psiE):
-            absolute.append(s)
+        def heads(o, n):
+            """(b, Fb, ..., F^(n-1) b) for each point b of the orbit o."""
+            return [tuple(o[(i + j) % k] for j in range(n)) for i in range(k)]
 
-    if E is K:
-        rational = list(absolute)
-    else:
-        rational = []
-        for s in absolute:
+        def lift(pt):
+            return (E.embed(pt[0]), E.embed(pt[1]))
+
+        a = orbit(g)
+        orbits = [a if h == g else orbit(h) for h in orb_psi[k]]
+        if k > 2:
+            src = tuple(a[:3])
+            dsts = [t for o in orbits for t in heads(o, 3)]
+        elif rat_phi:
+            src = (lift(rat_phi[0]),) + tuple(a)
+            dsts = [(lift(r),) + t for r in rat_psi for o in orbits for t in heads(o, 2)]
+        else:
+            src = tuple(a) + (orbit(orb_phi[2][1])[0],)
+            dsts = [t + (e,) for i, o in enumerate(orbits) for t in heads(o, 2)
+                    for j, o2 in enumerate(orbits) if j != i for e in o2]
+
+    candidates = [mobius_from_three_points(E, src, dst) for dst in dsts]
+    targets = set(rat_psi)
+    rational = []
+    for s in candidates:
+        if E is not K:
             coords = [E.retract(c) for c in s.t]
-            if all(c is not None for c in coords):
-                rational.append(Mobius(K, *coords))
-    return _sorted_mobius(absolute), _sorted_mobius(rational), ""
+            if any(c is None for c in coords):
+                continue
+            s = Mobius(K, *coords)
+        # a cheap necessary test before the exact one: s carries the
+        # rational points of phi's invariant set onto those of psi's
+        if all(s.apply(x) in targets for x in rat_phi) and is_conjugating(s, phi, psi):
+            rational.append(s)
+    return _sorted_mobius(candidates), _sorted_mobius(rational), ""
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +535,13 @@ def conj_ff(phi: RatMap, psi: RatMap, algorithm: str = "auto") -> ConjResult:
         algorithm = ("exhaustive" if q * (q * q - 1) <= EXHAUSTIVE_CEILING
                      else "invariant-sets")
     if algorithm == "invariant-sets":
-        # conj_invariant_sets starts with the same type test
-        absolute, rational, reason = conj_invariant_sets(phi, psi)
-        return ConjResult(tuple(rational), algorithm, reason,
-                          absolute_elements=tuple(absolute))
+        # conj_invariant_sets starts with the type test, which also keeps
+        # a non-conjugate pair from reaching the field degree cap
+        _, rational, reason = conj_invariant_sets(phi, psi)
+        return ConjResult(tuple(rational), algorithm, reason)
     if algorithm != "exhaustive":
         raise ValueError("unknown algorithm %r" % algorithm)
-    reason = types_rule_out_conjugacy(phi, psi)
-    if reason:
-        return ConjResult((), algorithm, reason)
-    return ConjResult(tuple(conj_exhaustive(phi, psi)), algorithm)
+    els = conj_exhaustive(phi, psi)
+    # the type test only names the reason for an empty set
+    reason = "" if els else types_rule_out_conjugacy(phi, psi) or ""
+    return ConjResult(tuple(els), algorithm, reason)

@@ -474,41 +474,28 @@ def is_automorphism(s: Mobius, phi: RatMap) -> bool:
     return is_conjugating(s, phi, phi)
 
 
-def map_lift(phi: RatMap, E) -> RatMap:
-    """The same map viewed over an extension E of its ground field."""
-    return RatMap(E, [E.embed(c) for c in phi.F0], [E.embed(c) for c in phi.F1])
+def _to_frame(K, pts):
+    """The matrix sending the points p1, p2, p3 to 0, infinity, 1.
+
+    With L_p(X, Y) = y_p X - x_p Y the linear form vanishing at p, it is
+    P -> (L_p1(P) L_p2(p3) : L_p2(P) L_p1(p3)); singular unless the three
+    points are distinct.
+    """
+    (x1, y1), (x2, y2), (x3, y3) = pts
+    l1 = K.sub(K.mul(y1, x3), K.mul(x1, y3))
+    l2 = K.sub(K.mul(y2, x3), K.mul(x2, y3))
+    return (K.mul(l2, y1), K.neg(K.mul(l2, x1)), K.mul(l1, y2), K.neg(K.mul(l1, x2)))
 
 
 def mobius_from_three_points(K, src, dst) -> Mobius:
-    """The unique s in PGL2(K) with s(src[i]) = dst[i] for i = 0, 1, 2.
-
-    Closed form: s(tau) = eta is one linear condition on (a, b, c, d) per
-    point, and the null vector of the resulting 3x4 system is given by 3x3
-    minors after folding signs into the products below.
-    """
-    A, B, C, D = [], [], [], []
-    for (t0, t1), (e0, e1) in zip(src, dst):
-        A.append(K.mul(t0, e1))
-        B.append(K.neg(K.mul(t1, e1)))
-        C.append(K.neg(K.mul(t0, e0)))
-        D.append(K.mul(t1, e0))
-    alpha = _det3(K, B, C, D)
-    beta = _det3(K, A, C, D)
-    gamma = _det3(K, A, B, D)
-    delta = _det3(K, A, B, C)
+    """The unique s in PGL2(K) with s(src[i]) = dst[i] for i = 0, 1, 2:
+    the frame matrix of src followed by the inverse (adjugate) of the
+    frame matrix of dst."""
+    a, b, c, d = _to_frame(K, dst)
     try:
-        return Mobius(K, alpha, beta, gamma, delta)
+        return Mobius(K, *mat_mul(K, (d, K.neg(b), K.neg(c), a), _to_frame(K, src)))
     except ValueError:
         raise ValueError("degenerate triple") from None
-
-
-def _det3(K, x, y, z):
-    def m2(p, q, i, j):
-        return K.sub(K.mul(p[i], q[j]), K.mul(p[j], q[i]))
-
-    t = K.mul(x[0], m2(y, z, 1, 2))
-    t = K.sub(t, K.mul(y[0], m2(x, z, 1, 2)))
-    return K.add(t, K.mul(z[0], m2(x, y, 1, 2)))
 
 
 # ---------------------------------------------------------------------------

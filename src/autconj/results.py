@@ -36,8 +36,6 @@ class ConjResult:
 
     Empty elements means proven non-conjugate; reason carries the cheap
     certificate when one was found (type mismatch etc), else "".
-    absolute_elements: for the invariant-set engine, the full conjugating
-    set over the splitting field that was searched.
     """
 
     elements: tuple
@@ -46,7 +44,6 @@ class ConjResult:
     primes: tuple = ()
     fibers: tuple = ()
     height_bound: int | None = None
-    absolute_elements: tuple = ()
 
     @property
     def is_conjugate(self) -> bool:

@@ -12,14 +12,13 @@ from autconj.factor import (
     form_factorization_type,
     form_radical,
     form_radical_qq,
-    irreducible_poly,
-    is_irreducible,
+    one_root_ff,
     roots_ff,
     small_factors_qq,
     squarefree_decomposition,
     squarefree_part_qq,
 )
-from autconj.finitefield import GF
+from autconj.finitefield import GF, _is_irreducible_over_prime
 from autconj.projline import form_rational_roots
 
 
@@ -35,7 +34,7 @@ def test_factor_ff_examples():
     assert factor_ff(K, (1, 0, 1)) == [((2, 1), 1), ((3, 1), 1)]
     # x^2 + 2 stays irreducible
     assert factor_ff(K, (2, 0, 1)) == [((2, 0, 1), 1)]
-    assert is_irreducible(K, (2, 0, 1))
+    assert _is_irreducible_over_prime(K, (2, 0, 1))
 
 
 def test_factor_ff_roundtrip():
@@ -47,7 +46,7 @@ def test_factor_ff_roundtrip():
             fac = factor_ff(K, f)
             prod = (K.one,)
             for g, m in fac:
-                assert is_irreducible(K, g)
+                assert _is_irreducible_over_prime(K, g)
                 assert g[-1] == K.one
                 for _ in range(m):
                     prod = P.pmul(K, prod, g)
@@ -74,7 +73,7 @@ def test_factor_ff_brute_irreducibility():
                     want = not has_root
                 else:
                     want = not has_root  # cubic reducible iff it has a root
-                assert is_irreducible(K, f) == want, f
+                assert _is_irreducible_over_prime(K, f) == want, f
 
 
 def test_roots_ff_examples():
@@ -91,6 +90,20 @@ def test_roots_ff_multiplicity():
     # (x - 1)^2 (x - 3)
     f = P.pmul(K, P.pmul(K, (6, 1), (6, 1)), (4, 1))
     assert roots_ff(K, f) == [(1, 2), (3, 1)]
+
+
+def test_one_root_ff_is_a_root():
+    # products of distinct linear factors, odd and even characteristic,
+    # prime and extension fields, up to the whole field
+    rng = random.Random(11)
+    for K in (GF(2), GF(5), GF(13), GF(2, 3), GF(3, 2)):
+        els = list(K.elements())
+        for n in {1, 2, min(3, len(els)), len(els)}:
+            roots = rng.sample(els, n)
+            f = (rng.choice(els[1:]),)  # a unit: the input need not be monic
+            for r in roots:
+                f = P.pmul(K, f, (K.neg(r), K.one))
+            assert one_root_ff(K, f) in roots
 
 
 def test_factorization_type():
@@ -129,34 +142,6 @@ def test_factors_up_to_agrees_with_full_factorization():
                 got = sorted(factors_up_to(K, f, bound))
                 want = sorted((g, m) for g, m in factor_ff(K, f) if P.pdeg(g) <= bound)
                 assert got == want, (p, f, bound)
-
-
-def test_irreducible_poly_search():
-    for q_args in ((2, None), (3, None), (5, None), (7, None)):
-        K = GF(q_args[0])
-        for n in (1, 2, 3, 5, 8):
-            f = irreducible_poly(K, n)
-            assert P.pdeg(f) == n
-            assert f[-1] == K.one
-            assert is_irreducible(K, f)
-    # deterministic: same modulus on repeated calls
-    K = GF(11)
-    assert irreducible_poly(K, 6) == irreducible_poly(K, 6)
-
-
-def test_irreducible_poly_when_char_divides_degree():
-    # p | n makes every binomial x^n + a a p-th power, so the search starts
-    # at the trinomials and returns the same modulus as a full scan
-    cases = [
-        (GF(2), 6, (1, 1, 0, 0, 0, 0, 1)),
-        (GF(2, 2), 2, ((0, 1), (0, 1), (1, 0))),
-        (GF(3), 3, (1, 2, 0, 1)),
-        (GF(5, 2), 5, ((0, 1), (1, 0), (0, 0), (0, 0), (0, 0), (1, 0))),
-    ]
-    for K, n, want in cases:
-        zeros = (K.zero,) * (n - 1)
-        assert not any(is_irreducible(K, (a,) + zeros + (K.one,)) for a in K.elements())
-        assert irreducible_poly(K, n) == want
 
 
 def test_form_radical_and_types():

@@ -2,8 +2,10 @@
 
 import itertools
 import random
+import time
 
-from autconj.finitefield import GF, ExtensionField
+from autconj import ffsolvers
+from autconj.finitefield import GF, ExtensionField, PrimeField
 from autconj.ffsolvers import (
     _invariant_form,
     _orbit_table,
@@ -194,6 +196,112 @@ def test_invariant_sets_matches_exhaustive_small_battery():
             assert {m.t for m in rational} == ex, (p, phi.F0, phi.F1)
 
 
+def _random_mobius(K, rng):
+    while True:
+        a, b, c, d = (K.random_element(rng) for _ in range(4))
+        if K.sub(K.mul(a, d), K.mul(b, c)) != K.zero:
+            return Mobius(K, a, b, c, d)
+
+
+def test_invariant_sets_matches_exhaustive_generated():
+    # Aut, Conj(phi, f.phi) and Conj(phi, random psi), tame and wild fields
+    rng = random.Random(71)
+    fields = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2), GF(11),
+              GF(13), GF(2, 4), GF(5, 2), GF(3, 3), GF(7, 2)]
+    for K in fields:
+        for d in (2, 3, 4, 5):
+            phi = random_map_ff(K, d, rng)
+            psi = conjugate_map(phi, _random_mobius(K, rng))
+            for target in (phi, psi, random_map_ff(K, d, rng)):
+                want = {m.t for m in conj_exhaustive(phi, target)}
+                _, rational, reason = conj_invariant_sets(phi, target)
+                assert {m.t for m in rational} == want, (K, phi, target)
+                assert not (want and reason)
+
+
+# one map per choice of source triple: ((p, numerator, denominator),
+# degree of the stem field over F_p, |Aut|)
+_SOURCE_CASES = {
+    # 1/z^2 over F_7: fixed points the cube roots of unity 1, 2, 4
+    "three rational points": ((7, (1,), (0, 0, 1)), 1, 6),
+    # z^3/5 over F_7: fixed points 0, infinity and the pair z^2 = 5
+    "rational point and quadratic pair": ((7, (0, 0, 0, 1), (5,)), 2, 4),
+    # 1/(3z^3) over F_7: fixed points z^4 = 5, two quadratic pairs
+    "two quadratic pairs": ((7, (1,), (0, 0, 0, 3)), 2, 4),
+    # 1/(4z^2) over F_7: fixed points z^3 = 2, one cubic orbit
+    "cubic orbit": ((7, (1,), (0, 0, 4)), 3, 3),
+    # 1/(3z^3) over F_5: fixed points z^4 = 2, one quartic orbit
+    "quartic orbit": ((5, (1,), (0, 0, 0, 3)), 4, 4),
+}
+
+
+def test_invariant_sets_source_cases():
+    rng = random.Random(73)
+    for name, ((p, num, den), k, order) in _SOURCE_CASES.items():
+        K = GF(p)
+        phi = _zmap(K, num, den)
+        cands, rational, reason = conj_invariant_sets(phi, phi)
+        assert {s.K.order for s in cands} == {p**k}, name
+        assert len(rational) == order, name
+        assert {m.t for m in rational} == {m.t for m in aut_exhaustive(phi)}, name
+        for _ in range(3):
+            f = _random_mobius(K, rng)
+            psi = conjugate_map(phi, f)
+            cands, rational, reason = conj_invariant_sets(phi, psi)
+            assert {s.K.order for s in cands} == {p**k}, name
+            got = {m.t for m in rational}
+            assert f.t in got and reason == "", name
+            assert got == {m.t for m in conj_exhaustive(phi, psi)}, name
+
+
+def test_invariant_sets_field_degree_cap(monkeypatch):
+    K = GF(5)
+    phi = _zmap(K, (1,), (0, 0, 0, 3))  # one quartic orbit
+    monkeypatch.setattr(ffsolvers, "SPLIT_DEGREE_CAP", 3)
+    try:
+        conj_invariant_sets(phi, phi)
+        assert False
+    except RuntimeError as e:
+        assert "degree 4" in str(e)
+
+
+def test_invariant_sets_orbit_mismatch():
+    # z + 1/z and z - 1/z over F_7 both fix only infinity and pull it back
+    # to {0, infinity} and then to four points, with the same types; the
+    # last preimages are the pair z^2 = -1 for one and z = 1, 6 for the other
+    K = GF(7)
+    phi = _zmap(K, (1, 0, 1), (0, 1))
+    psi = _zmap(K, (1, 0, 6), (0, 6))
+    assert types_rule_out_conjugacy(phi, psi) is None
+    assert _invariant_form(phi)[1] == _invariant_form(psi)[1] == (1, 2, 4)
+    assert conj_invariant_sets(phi, psi) == ([], [], "invariant set orbit mismatch")
+    assert conj_exhaustive(phi, psi) == []
+
+
+# a d = 5 map over F_2^7 whose invariant set is one orbit of degree 6:
+# Aut works in that orbit's stem field and needs no root finding
+_F128_MODULUS = (1, 0, 0, 0, 0, 0, 1, 1)
+_F128_MAP = (
+    ((1, 0, 0, 0, 0, 0, 0), (1, 0, 0, 1, 0, 1, 1), (1, 1, 0, 0, 0, 0, 0),
+     (0, 1, 0, 1, 1, 1, 1), (1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0)),
+    ((0, 1, 1, 0, 1, 1, 0), (0, 0, 1, 0, 1, 1, 0), (1, 0, 0, 1, 0, 0, 1),
+     (0, 1, 0, 0, 1, 1, 0), (0, 1, 0, 0, 0, 1, 0), (1, 0, 1, 0, 0, 0, 1)),
+)
+
+
+def test_aut_degree_six_orbit_over_f128():
+    K = ExtensionField(PrimeField(2), _F128_MODULUS)
+    phi = RatMap(K, *_F128_MAP)
+    t0 = time.perf_counter()
+    res = aut_ff(phi)
+    assert time.perf_counter() - t0 < 4.0  # the benchmark's cap per operation
+    assert res.algorithm == "invariant-sets"
+    assert [m.t for m in res.elements] == [Mobius.identity(K).t]
+    assert [m.t for m in aut_fixed_points(phi)] == [Mobius.identity(K).t]
+    cands, _, _ = conj_invariant_sets(phi, phi)
+    assert {s.K.order for s in cands} == {2**42}
+
+
 def test_invariant_form_pullback():
     # z^2 + 3 over F11 has one rational fixed point (z = 6, doubled) plus
     # infinity; one pullback stage grows the set to {5, 6, infinity}
@@ -262,6 +370,27 @@ def test_conj_ff_type_filter_reason():
     res = conj_ff(_zmap(K, (0, 0, 1), (1,)), _zmap(K, (1, 0, 1), (1,)))
     assert res.elements == ()
     assert not res.is_conjugate
+    assert res.reason == "factorization type mismatch"
+
+
+def test_conj_ff_exhaustive_types_only_name_the_reason(monkeypatch):
+    # a nonempty scan needs no type test; an empty one still says why
+    rng = random.Random(75)
+    K = GF(7)
+    phi = random_map_ff(K, 3, rng)
+    psi = conjugate_map(phi, _random_mobius(K, rng))
+    calls = []
+
+    def types(a, b):
+        calls.append((a, b))
+        return "factorization type mismatch"
+
+    monkeypatch.setattr(ffsolvers, "types_rule_out_conjugacy", types)
+    res = conj_ff(phi, psi, algorithm="exhaustive")
+    assert res.is_conjugate and res.reason == "" and calls == []
+    K5 = GF(5)
+    res = conj_ff(_zmap(K5, (0, 0, 1), (1,)), _zmap(K5, (1, 0, 1), (1,)))
+    assert not res.is_conjugate and len(calls) == 1
     assert res.reason == "factorization type mismatch"
 
 
