@@ -4,20 +4,20 @@ The lattice code exists for one job: given a residue vector r mod N that is
 known to be the reduction of a projective point of small height, recover all
 candidate lifts v with sup-norm ||v|| <= B and v = lambda * r (mod N) for a
 unit lambda.  The set of integer vectors congruent to a multiple of r is the
-rank-4 lattice Z*r + N*Z^4; LLL plus Fincke-Pohst enumeration of the ball
+rank-4 lattice Z*r + N*Z^4, with the explicit basis r, N*e_j (j != i) once r
+is scaled so that r_i = 1; LLL plus Fincke-Pohst enumeration of the ball
 ||v||_2^2 <= 4B^2 (sup <= B implies l2 <= 2B in dimension 4) is exhaustive.
 
-Everything here is exact: GSO runs over Fraction, enumeration bounds are
-derived with isqrt, no floats anywhere.
+Everything here is exact and integral: the reducer and the enumeration work
+on the integer Gram-Schmidt data d_i and lambda_ij of Cohen's integral LLL
+(A Course in Computational Algebraic Number Theory, Alg. 2.6.7), bounds come
+from isqrt, and there are no Fractions and no floats.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional, Sequence
-
-LLL_DELTA = Fraction(99, 100)   # strong reduction; bases here are rank 4
 
 
 def canonical_proj(vec: Sequence[int]) -> tuple[int, ...]:
@@ -91,108 +91,125 @@ def crt_combine(pairs: Sequence[tuple[Sequence[int], int]]) -> tuple[tuple[int, 
     return tuple(out), n
 
 
-def hnf_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Row Hermite normal form; returns the nonzero rows.
+def _congruence_basis(r: Sequence[int], n: int) -> Optional[list[list[int]]]:
+    """A basis of the lattice Z*r + n*Z^4, or None when the coordinates of
+    r share a prime with n (then no unit multiple of r lifts primitively).
 
-    Plain gcd-elimination, adequate for the tiny matrices fed to it.
+    With u = sum(c_j r_j) a unit mod n for a coefficient vector c with
+    c_i = 1, the rows are the multiple w of r by u^-1 mod n, adjusted at i
+    so that c.w = 1 exactly, and n*(e_j - c_j e_i) for j != i: they lie in
+    the lattice, and the determinant is n^3, its index.  Usually some r_i
+    is a unit and c = e_i, giving r / r_i and n*e_j.  Otherwise c is built
+    one coordinate at a time: with m the largest divisor of n prime to u,
+    u + m*r_j is divisible by a prime of n only if u and r_j both were.
     """
-    a = [list(map(int, r)) for r in rows]
-    if not a:
-        return []
-    m, n = len(a), len(a[0])
-    rank = 0
-    for col in range(n):
-        # pull the smallest nonzero pivot up, reduce the rest against it
-        while True:
-            piv, best = -1, 0
-            for i in range(rank, m):
-                v = abs(a[i][col])
-                if v and (piv < 0 or v < best):
-                    piv, best = i, v
-            if piv < 0:
-                break
-            a[rank], a[piv] = a[piv], a[rank]
-            done = True
-            for i in range(rank + 1, m):
-                if a[i][col]:
-                    q = a[i][col] // a[rank][col]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[rank])]
-                    if a[i][col]:
-                        done = False
-            if done:
-                break
-        if rank < m and a[rank][col]:
-            if a[rank][col] < 0:
-                a[rank] = [-x for x in a[rank]]
-            for i in range(rank):
-                q = a[i][col] // a[rank][col]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[rank])]
-            rank += 1
-    return a[:rank]
+    i = next((j for j, x in enumerate(r) if math.gcd(x, n) == 1), 0)
+    c = [0] * 4
+    c[i] = 1
+    u = r[i]
+    for j in range(4):
+        if j == i or math.gcd(u, n) == 1:
+            continue
+        m = n
+        g = math.gcd(m, u)
+        while g > 1:
+            m //= g
+            g = math.gcd(m, u)
+        c[j] = m
+        u += m * r[j]
+    if math.gcd(u, n) != 1:
+        return None
+    inv = pow(u, -1, n)
+    w = [x * inv % n for x in r]
+    w[i] -= sum(a * b for a, b in zip(c, w)) - 1
+    rows = [w]
+    for j in range(4):
+        if j != i:
+            row = [0] * 4
+            row[j] = n
+            row[i] = -n * c[j]
+            rows.append(row)
+    return rows
 
 
-def _gso(basis: list[list[int]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    n = len(basis)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    star: list[list[Fraction]] = []
-    norms: list[Fraction] = []
-    for i in range(n):
-        v = [Fraction(x) for x in basis[i]]
-        for j in range(n):
-            mu[i][j] = Fraction(0)
-        mu[i][i] = Fraction(1)
-        for j in range(i):
-            num = sum(Fraction(x) * y for x, y in zip(basis[i], star[j]))
-            mu[i][j] = num / norms[j] if norms[j] else Fraction(0)
-            v = [a - mu[i][j] * b for a, b in zip(v, star[j])]
-        star.append(v)
-        norms.append(sum(x * x for x in v))
-    return mu, norms
+def _integral_gso(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data of a basis (Cohen, Alg. 2.6.7, step 2):
+    d[k+1] = prod_{j<=k} |b*_j|^2 and lam[k][j] = d[j+1] * mu_kj, all
+    integers, every division exact."""
+    n = len(b)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
+                raise ValueError("basis not full rank")
+            else:
+                d[k + 1] = u
+    return d, lam
 
 
-def _round_nearest(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
-
-
-def lll_reduce(rows: Sequence[Sequence[int]], delta: Fraction = LLL_DELTA) -> list[list[int]]:
-    """LLL-reduce a full-rank integer basis.  Exact Fraction GSO.
-
-    Size reduction updates the mu row in place (the orthogonalization does
-    not move); only swaps recompute the full GSO, which keeps the Fraction
-    work bearable at rank 4.
-    """
+def lll_reduce(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """LLL-reduce a full-rank integer basis with delta = 99/100, in integers
+    only: Cohen's integral LLL (Alg. 2.6.7), which keeps d_i and
+    lambda_ij = d_{j+1} mu_ij exact and updates them in place on
+    size reduction and swaps."""
     b = [list(map(int, r)) for r in rows]
     n = len(b)
     if n <= 1:
         return b
-    mu, norms = _gso(b)
+    d, lam = _integral_gso(b)
+
+    def reduce(k: int, l: int) -> None:
+        dl = d[l + 1]
+        if 2 * abs(lam[k][l]) > dl:
+            q = (2 * lam[k][l] + dl) // (2 * dl)
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * dl
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
     k = 1
     while k < n:
-        for j in range(k - 1, -1, -1):
-            q = _round_nearest(mu[k][j])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                for l in range(j + 1):
-                    mu[k][l] -= q * mu[j][l]
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
-            k += 1
-        else:
+        reduce(k, k - 1)
+        mu = lam[k][k - 1]
+        if 100 * d[k + 1] * d[k - 1] < 99 * d[k] * d[k] - 100 * mu * mu:
             b[k], b[k - 1] = b[k - 1], b[k]
-            mu, norms = _gso(b)
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            B = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+            for i in range(k + 1, n):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+                lam[i][k - 1] = (B * t + mu * lam[i][k]) // d[k + 1]
+            d[k] = B
             k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
     return b
 
 
 def _short_vectors(basis: list[list[int]], bound_sq: int) -> list[tuple[int, ...]]:
-    """All nonzero lattice vectors with ||v||_2^2 <= bound_sq, up to sign."""
+    """All nonzero lattice vectors with ||v||_2^2 <= bound_sq, up to sign.
+
+    Fincke-Pohst over the integral GSO: at level l the center is C/d[l+1]
+    with C = -sum_{i>l} lam[i][l] x_i, a step to x costs
+    (d[l+1] x - C)^2 / (d[l] d[l+1]), and the squared length left is kept
+    as an exact integer fraction num/den.
+    """
     n = len(basis)
-    mu, norms = _gso(basis)
+    d, lam = _integral_gso(basis)
     out: list[tuple[int, ...]] = []
     coeffs = [0] * n
 
     # enumerate half the space: topmost nonzero coefficient nonnegative
-    def descend_signed(level: int, remaining: Fraction, free: bool) -> None:
+    def descend_signed(level: int, num: int, den: int, free: bool) -> None:
         if level < 0:
             v = [0] * len(basis[0])
             for c, row in zip(coeffs, basis):
@@ -201,23 +218,22 @@ def _short_vectors(basis: list[list[int]], bound_sq: int) -> list[tuple[int, ...
             if any(v):
                 out.append(tuple(v))
             return
-        if norms[level] == 0:
-            raise ValueError("basis not full rank")
-        center = -sum(mu[i][level] * coeffs[i] for i in range(level + 1, n))
-        t = remaining / norms[level]
-        rad = math.isqrt(t.numerator // t.denominator) + 2
-        base = center.numerator // center.denominator
-        lo = base - rad - 1
+        dl = d[level + 1]
+        scale = d[level] * dl
+        center = -sum(lam[i][level] * coeffs[i] for i in range(level + 1, n))
+        rad = math.isqrt(num * scale // den) + 1
+        lo = (center - rad) // dl
         if free:
             lo = max(lo, 0)
-        for x in range(lo, base + rad + 2):
-            gap = norms[level] * (Fraction(x) - center) ** 2
-            if gap <= remaining:
+        for x in range(lo, (center + rad) // dl + 1):
+            e = dl * x - center
+            left = num * scale - e * e * den
+            if left >= 0:
                 coeffs[level] = x
-                descend_signed(level - 1, remaining - gap, free and x == 0)
+                descend_signed(level - 1, left, den * scale, free and x == 0)
         coeffs[level] = 0
 
-    descend_signed(n - 1, Fraction(bound_sq), True)
+    descend_signed(n - 1, bound_sq, 1, True)
     return out
 
 
@@ -246,8 +262,10 @@ def shortest_congruent_lift(
         bound = min(bound, height_bound)
     if bound <= 0:
         return []
-    rows = [r] + [[n if i == j else 0 for j in range(4)] for i in range(4)]
-    basis = lll_reduce(hnf_rows(rows))
+    rows = _congruence_basis(r, n)
+    if rows is None:
+        return []
+    basis = lll_reduce(rows)
     found = set()
     for v in _short_vectors(basis, 4 * bound * bound):
         if max(abs(x) for x in v) > bound:

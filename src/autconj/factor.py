@@ -346,10 +346,24 @@ def _monic_qq(f):
 
 
 def _exact_divides(cand, F) -> bool:
-    """cand | F in Q[x]; both given as integer coefficient tuples."""
-    fq = tuple(Fraction(c) for c in F)
-    gq = tuple(Fraction(c) for c in cand)
-    return not P.pdivmod(QQ, fq, gq)[1]
+    """cand | F in Q[x] for a primitive integer cand and an integer F.
+
+    By Gauss's lemma the quotient then has integer coefficients, so long
+    division runs in integers and stops at the first leading coefficient
+    that lc(cand) does not divide.
+    """
+    lead = cand[-1]
+    m = len(cand) - 1
+    rem = list(F)
+    for top in range(len(rem) - 1, m - 1, -1):
+        q, r = divmod(rem[top], lead)
+        if r:
+            return False
+        if q:
+            base = top - m
+            for i, c in enumerate(cand):
+                rem[base + i] -= q * c
+    return not any(rem[:m])
 
 
 def _squarefree_int(F):

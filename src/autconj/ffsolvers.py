@@ -503,8 +503,10 @@ def aut_fixed_points(phi: RatMap) -> list:
 # ---------------------------------------------------------------------------
 # drivers
 
-def aut_ff(phi: RatMap, algorithm: str = "auto") -> AutResult:
-    """Automorphism group of a rational map over a finite field."""
+def _aut_ff_elements(phi: RatMap, algorithm: str = "auto"):
+    """(elements of Aut_phi, engine after dispatch) over a finite field,
+    without the group label, whose closure check costs |Aut|^2
+    compositions."""
     K = phi.K
     q = K.order
     if q is None:
@@ -520,6 +522,12 @@ def aut_ff(phi: RatMap, algorithm: str = "auto") -> AutResult:
         els = aut_fixed_points(phi)
     else:
         raise ValueError("unknown algorithm %r" % algorithm)
+    return els, algorithm
+
+
+def aut_ff(phi: RatMap, algorithm: str = "auto") -> AutResult:
+    """Automorphism group of a rational map over a finite field."""
+    els, algorithm = _aut_ff_elements(phi, algorithm)
     return AutResult(tuple(els), group_structure(els), algorithm)
 
 

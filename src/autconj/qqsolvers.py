@@ -5,11 +5,16 @@ unchanged over Q (the char-p loop is vacuous and the multiplier lists
 collapse to -1 and the quadratic cyclotomics).
 
 The CRT engine handles everything else: reduce both maps at good primes
-p >= 5, compute the finite fiber mod p, CRT all combinations of residue
-vectors together, lift each to the short integer vectors of its
-congruence lattice, and verify candidates exactly.  Reduction at a good
-prime is injective on the rational answer, which yields the termination
-tests:
+p >= 5, compute the finite fiber mod p with the finite-field dispatch of
+aut_ff and conj_ff (the pinned exhaustive scan up to p = 97, invariant
+sets above), CRT all combinations of residue vectors together, lift each
+to the short integer vectors of its congruence lattice, and verify
+candidates exactly.  For Aut the combinations stay within one stratum:
+a rational element of order 2, 3, 4 or 6 reduces to a fiber element of
+the same order, whose tr^2/det is 0, 1, 2 or 3 mod p, so only residues
+of equal class are combined, and residues that are reductions of
+elements already found are dropped.  Reduction at a good prime is
+injective on the rational answer, which yields the termination tests:
 
   (a) the rational count matches some fiber count: nothing is missing;
   (b) group bookkeeping: the rational group order divides every fiber
@@ -30,7 +35,7 @@ import math
 from .domains import QQ, ZZ
 from .exact import crt_combine, l2_norm_sq, shortest_congruent_lift
 from .factor import form_radical_qq
-from .ffsolvers import _sorted_mobius, aut_fixed_points, conj_ff
+from .ffsolvers import _aut_ff_elements, _sorted_mobius, aut_fixed_points, conj_ff
 from .groups import closure, group_structure
 from .ntheory import divisors, next_prime
 from . import poly as P
@@ -41,6 +46,7 @@ PRIME_CAP = 40          # rounds before the CRT search gives up
 COMBO_GUARD = 500_000   # hard cap on residue combinations per lifting pass
 COMBO_BUDGET = 10_000   # lifting works on the cheapest primes within this
 QQ_ORDERS = (2, 3, 4, 6)  # possible orders > 1 of a rational Mobius map
+ORDER_CLASSES = (0, 1, 2, 3)  # tr^2/det at those orders, in the same order
 
 FIXED_POINT_DEGREE_LIMIT = 12
 
@@ -78,43 +84,66 @@ def _good_primes(maps):
             yield p
 
 
-def _choose_fibers(vec_fibers):
+def _combinations(fibers) -> int:
+    """Residue combinations of a list of (p, classes) fibers: per class,
+    the product over the primes of its residue count, summed."""
+    return sum(math.prod(len(classes[c]) for _, classes in fibers)
+               for c in range(len(fibers[0][1])))
+
+
+def _choose_fibers(class_fibers):
     """The primes whose fibers get combined this round: smallest fibers
     first (bigger prime breaking ties, for a larger combined modulus),
-    as many as keep the combination count within budget."""
-    ranked = sorted(vec_fibers, key=lambda t: (len(t[1]), -t[0]))
+    each one kept if the combination count stays within budget."""
+    ranked = sorted(class_fibers,
+                    key=lambda t: (sum(map(len, t[1])), -t[0]))
     use = []
-    total = 1
-    for p, vecs in ranked:
-        if use and total * len(vecs) > COMBO_BUDGET:
-            break
-        use.append((p, vecs))
-        total *= len(vecs)
+    for fib in ranked:
+        if use and _combinations(use + [fib]) > COMBO_BUDGET:
+            continue
+        use.append(fib)
     return use
 
 
-def _lift_candidates(vec_fibers, M):
-    """CRT every combination of per-prime residue vectors and enumerate
-    the short lifts of each, deduplicated.  Returns the candidates and
-    the combined modulus actually used."""
-    total = 1
-    for _, vecs in vec_fibers:
-        total *= len(vecs)
-    if total > COMBO_GUARD:
+def _lift_candidates(class_fibers, M):
+    """CRT every combination of per-prime residue vectors within one class
+    and enumerate the short lifts of each, deduplicated.  Returns the
+    candidates and the combined modulus actually used."""
+    if _combinations(class_fibers) > COMBO_GUARD:
         raise RuntimeError("fiber combinations exceed %d" % COMBO_GUARD)
     out = []
     seen = set()
-    N = 1
-    for p, _ in vec_fibers:
-        N *= p
-    for combo in itertools.product(*[vecs for _, vecs in vec_fibers]):
-        pairs = [(vec, p) for vec, (p, _) in zip(combo, vec_fibers)]
-        r, n = crt_combine(pairs)
-        for v in shortest_congruent_lift(r, n, height_bound=M):
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
+    N = math.prod(p for p, _ in class_fibers)
+    for c in range(len(class_fibers[0][1])):
+        for combo in itertools.product(*[classes[c] for _, classes in class_fibers]):
+            pairs = [(vec, p) for vec, (p, _) in zip(combo, class_fibers)]
+            r, n = crt_combine(pairs)
+            for v in shortest_congruent_lift(r, n, height_bound=M):
+                if v not in seen:
+                    seen.add(v)
+                    out.append(v)
     return out, N
+
+
+def _order_classes(p: int, fib, found):
+    """The residues of an Aut fiber mod p by their class tr^2/det in
+    ORDER_CLASSES, leaving out the reductions of elements already found.
+
+    A rational element of order 2, 3, 4 or 6 reduces to a fiber element
+    of the same order, whose class is 0, 1, 2 or 3 respectively; these
+    are distinct for p >= 5.  Everything else in the fiber (the identity
+    and unipotents at 4, elements of orders no rational Mobius map has)
+    is no reduction of an unfound rational element, and reduction is
+    injective at a good prime, so no missing element loses its residue.
+    """
+    known = {s.reduce_mod_p(p) for s in found}
+    classes = tuple([] for _ in ORDER_CLASSES)
+    for s in fib:
+        a, b, c, d = s.t
+        cls = (a + d) ** 2 * pow(a * d - b * c, -1, p) % p
+        if cls in ORDER_CLASSES and s not in known:
+            classes[ORDER_CLASSES.index(cls)].append(s.t)
+    return classes
 
 
 def _order_bound(fibers, g_order: int) -> int:
@@ -138,7 +167,6 @@ def _aut_crt(phi: RatMap) -> AutResult:
     M = conjugacy_height_bound(phi)
     stream = _good_primes([phi])
     fibers = []
-    vec_fibers = []
     found = {Mobius.identity(QQ)}
     rejected = set()
     last_used = None
@@ -147,10 +175,9 @@ def _aut_crt(phi: RatMap) -> AutResult:
             raise RuntimeError("CRT search used %d primes without terminating"
                                % PRIME_CAP)
         p = next(stream)
-        fib = aut_fixed_points(phi.reduce_mod_p(p))
-        fibers.append((p, fib))
-        vec_fibers.append((p, [s.t for s in fib]))
-        use = _choose_fibers(vec_fibers)
+        fibers.append((p, _aut_ff_elements(phi.reduce_mod_p(p))[0]))
+        class_fibers = [(q, _order_classes(q, fib, found)) for q, fib in fibers]
+        use = _choose_fibers(class_fibers)
         used_key = tuple(p for p, _ in use)
         N = 1
         if used_key != last_used:
@@ -184,7 +211,7 @@ def _conj_crt(phi: RatMap, psi: RatMap) -> ConjResult:
     M = conjugacy_height_bound(phi, psi)
     stream = _good_primes([phi, psi])
     fibers = []
-    vec_fibers = []
+    class_fibers = []
     rejected = set()
     last_used = None
     while True:
@@ -200,8 +227,8 @@ def _conj_crt(phi: RatMap, psi: RatMap) -> ConjResult:
                               height_bound=M)
         fib = list(res.elements)
         fibers.append((p, fib))
-        vec_fibers.append((p, [s.t for s in fib]))
-        use = _choose_fibers(vec_fibers)
+        class_fibers.append((p, ([s.t for s in fib],)))
+        use = _choose_fibers(class_fibers)
         used_key = tuple(p for p, _ in use)
         N = 1
         if used_key != last_used:

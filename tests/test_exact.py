@@ -1,14 +1,15 @@
 """Integer CRT and short-lattice-vector lifting."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 from autconj.exact import (
+    _congruence_basis,
     canonical_proj,
     crt_combine,
     crt_int,
-    hnf_rows,
     l2_norm_sq,
     lll_reduce,
     proj_height,
@@ -93,33 +94,57 @@ def test_l2_norm_sq():
     assert l2_norm_sq((0, 0, 0, 0)) == 0
 
 
-def _row_span_key(rows):
-    return tuple(tuple(r) for r in hnf_rows(rows))
+def _det(rows):
+    """Integer determinant by Leibniz: fine at rank 4."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
 
 
-def test_hnf_fixed_lattice():
-    rows = [[1, 0, 0, 1], [5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 5]]
-    h = hnf_rows(rows)
-    assert len(h) == 4
-    # determinant of the HNF basis is the lattice index 5^3
-    det = h[0][0] * h[1][1] * h[2][2] * h[3][3]
-    assert abs(det) == 125
+def _normalized_basis(rng, n):
+    """A random residue r mod n with r_i = 1, and the basis r, n*e_j
+    (j != i) of the lattice Z*r + n*Z^4."""
+    i = rng.randrange(4)
+    r = [rng.randrange(n) for _ in range(4)]
+    r[i] = 1
+    return r, i, [r] + [[n if k == j else 0 for k in range(4)] for j in range(4) if j != i]
 
 
 def test_lll_preserves_lattice():
     rng = random.Random(7)
     for _ in range(40):
         n = rng.choice([35, 77, 1001, 30031])
-        r = [rng.randrange(n) for _ in range(4)]
-        if not any(r):
-            continue
-        rows = [r] + [[n if i == j else 0 for j in range(4)] for i in range(4)]
-        basis = hnf_rows(rows)
+        r, i, basis = _normalized_basis(rng, n)
         red = lll_reduce(basis)
-        assert _row_span_key(red) == _row_span_key(basis)
+        # membership: every reduced row is v_i times r mod n; the index
+        # n^3 of the lattice in Z^4 then makes the rows a basis of it
+        for v in red:
+            assert all((v[k] - v[i] * r[k]) % n == 0 for k in range(4))
+        assert abs(_det(red)) == n**3
         # first reduced vector is never longer than the shortest input row
         m_in = min(l2_norm_sq(v) for v in basis)
         assert l2_norm_sq(red[0]) <= m_in
+
+
+def test_congruence_basis_without_unit_coordinate():
+    # no coordinate of r is a unit mod 105, yet gcd(r, 105) = 1
+    n = 105
+    for r in ([15, 35, 21, 0], [3, 5, 7, 0], [42, 0, 70, 30]):
+        assert all(math.gcd(x, n) > 1 for x in r)
+        rows = _congruence_basis(r, n)
+        multiples = {tuple(k * x % n for x in r) for k in range(n)}
+        for v in rows:
+            assert tuple(x % n for x in v) in multiples
+        assert abs(_det(rows)) == n**3
+    # a common prime of r and n: no basis, and no lift
+    assert _congruence_basis([3, 6, 0, 9], n) is None
+    assert shortest_congruent_lift((3, 6, 0, 9), n) == []
 
 
 def test_lll_size_reduction_property():
@@ -127,11 +152,8 @@ def test_lll_size_reduction_property():
     rng = random.Random(3)
     for _ in range(25):
         n = rng.choice([101, 1009, 10007])
-        r = [rng.randrange(n) for _ in range(4)]
-        if not any(r):
-            continue
-        rows = [r] + [[n if i == j else 0 for j in range(4)] for i in range(4)]
-        red = lll_reduce(hnf_rows(rows))
+        _, _, basis = _normalized_basis(rng, n)
+        red = lll_reduce(basis)
         k = len(red)
         # Gram-Schmidt from scratch
         star = [[Fraction(x) for x in red[0]]]
@@ -172,32 +194,48 @@ def test_shortest_congruent_lift_tall_point():
     assert out[0] == target
 
 
+def _brute_lifts(r, n):
+    """Every canonical point with sup norm <= isqrt((n-1)/2) that is a
+    unit multiple of r mod n and primitive mod n, by enumeration."""
+    b = math.isqrt((n - 1) // 2)
+    multiples = {tuple(u * x % n for x in r) for u in range(1, n) if math.gcd(u, n) == 1}
+    want = set()
+    for v in itertools.product(range(-b, b + 1), repeat=4):
+        if not any(v):
+            continue
+        g = math.gcd(math.gcd(v[0], v[1]), math.gcd(v[2], v[3]))
+        if math.gcd(g, n) != 1:
+            continue
+        if tuple(x % n for x in v) in multiples:
+            want.add(canonical_proj(v))
+    return want
+
+
 def test_shortest_congruent_lift_brute():
     # small-modulus brute force: enumerate all canonical points with
     # sup norm <= B and unit scalar relation to the residue
     rng = random.Random(23)
     n = 3 * 5 * 7
-    b = math.isqrt((n - 1) // 2)
-    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
     for _ in range(6):
         r = tuple(rng.randrange(n) for _ in range(4))
         if not any(r):
             continue
-        want = set()
-        for v0 in range(-b, b + 1):
-            for v1 in range(-b, b + 1):
-                for v2 in range(-b, b + 1):
-                    for v3 in range(-b, b + 1):
-                        v = (v0, v1, v2, v3)
-                        if not any(v):
-                            continue
-                        g = math.gcd(math.gcd(v0, v1), math.gcd(v2, v3))
-                        if math.gcd(g, n) != 1:
-                            continue
-                        if any(all((v[i] - u * r[i]) % n == 0 for i in range(4)) for u in units):
-                            want.add(canonical_proj(v))
+        want = _brute_lifts(r, n)
         got = set(shortest_congruent_lift(r, n))
         assert got == want, (r, sorted(want - got), sorted(got - want))
+
+
+def test_shortest_congruent_lift_no_unit_coordinate():
+    # unit multiples of points whose every coordinate shares a prime with
+    # the composite modulus 105, so the lattice basis needs a change of
+    # coordinates before a coordinate can be scaled to 1
+    n = 3 * 5 * 7
+    for v, u in (((3, 5, 7, 0), 2), ((0, 3, 5, -7), 11), ((6, 5, 7, 0), 52)):
+        r = tuple(u * x % n for x in v)
+        assert all(math.gcd(x, n) > 1 for x in r)
+        want = _brute_lifts(r, n)
+        assert canonical_proj(v) in want
+        assert set(shortest_congruent_lift(r, n)) == want
 
 
 def test_shortest_congruent_lift_height_bound():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import autconj.poly as P
 from autconj.domains import QQ
 from autconj.factor import (
+    _exact_divides,
     factor_ff,
     factorization_type,
     factors_up_to,
@@ -221,6 +222,32 @@ def test_small_factors_divide_input():
 
 def _affine_roots_qq(f):
     return [x for x, _ in form_rational_roots(QQ, f)]
+
+
+def test_exact_divides_matches_rational_division():
+    # oracle: the remainder of the division over Q
+    rng = random.Random(41)
+
+    def rand_int_poly(deg, h):
+        f = [rng.randint(-h, h) for _ in range(deg)] + [rng.choice([-1, 1]) * rng.randint(1, h)]
+        return P.primitive(f)
+
+    def oracle(c, F):
+        fq = tuple(Fraction(x) for x in F)
+        return not P.pdivmod(QQ, fq, tuple(Fraction(x) for x in c))[1]
+
+    for _ in range(150):
+        g = rand_int_poly(rng.randrange(1, 4), 9)
+        h = rand_int_poly(rng.randrange(0, 6), 20)
+        F = tuple(P.pmul(QQ, g, h))
+        assert _exact_divides(g, F) and oracle(g, F)
+        for c in (rand_int_poly(rng.randrange(1, 4), 9), P.primitive(P.padd(QQ, g, (1,)))):
+            assert _exact_divides(c, F) == oracle(c, F), (c, F)
+        # the lifted factors small_factors_qq tries divide its own input
+        for lin in small_factors_qq(F)[0]:
+            den = lin[0].denominator
+            c = P.primitive((int(lin[0] * den), den))
+            assert _exact_divides(c, F) and oracle(c, F)
 
 
 def test_form_rational_roots_over_q():

@@ -4,12 +4,17 @@ import itertools
 import random
 from fractions import Fraction
 
+from autconj.cli import parse_map
 from autconj.domains import QQ
 from autconj.exact import l2_norm_sq
+from autconj.ffsolvers import aut_ff, aut_fixed_points
 from autconj.groups import is_closed
 from autconj.projline import Mobius, RatMap, conjugate_map, is_automorphism, is_conjugating, random_map_qq
 from autconj.qqsolvers import (
+    ORDER_CLASSES,
+    QQ_ORDERS,
     _good_primes,
+    _order_classes,
     aut_qq,
     conj_qq,
     conjugacy_height_bound,
@@ -199,8 +204,6 @@ def test_conj_respects_height_bound():
 
 
 def test_good_reduction_lands_in_fiber():
-    from autconj.ffsolvers import aut_fixed_points
-
     res = aut_qq(SIX)
     for p in (5, 7, 11):
         assert SIX.is_good_prime(p)
@@ -208,3 +211,108 @@ def test_good_reduction_lands_in_fiber():
         for s in res.elements:
             sp = Mobius(SIX.reduce_mod_p(p).K, *[c % p for c in s.coeff_ints()])
             assert sp.t in fib
+
+
+# twisted power maps z^k as (k, twist coefficients), and battery rows
+TWISTS = [
+    (3, (3, -7, 5, -1)), (-3, (-3, 0, -3, -4)), (6, (7, 10, -3, 8)),
+    (-6, (-7, -7, -3, 1)), (9, (1, -8, 4, -10)), (-9, (8, 1, -2, 9)),
+    (12, (-2, -10, 4, 1)), (-12, (-3, 0, -5, 1)), (15, (1, 9, -1, 1)),
+    (-15, (-4, -1, 8, -8)), (18, (1, 10, 5, 10)), (-18, (2, -5, 0, 3)),
+]
+BATTERY = [
+    "(z^2+2*z)/(-2*z-1)",
+    "(z^2-4*z-3)/(-3*z^2-2*z+2)",
+    "(z^5+5*z^4-20*z^3+10*z^2+5*z-2)/(2*z^5-5*z^4-10*z^3+20*z^2-5*z-1)",
+    "(z^5-5*z^4+10*z^2-5*z)/(-5*z^4+10*z^3-5*z+1)",
+    "(z^5-20*z^4+30*z^3+10*z^2-20*z+3)/(-3*z^5-5*z^4+40*z^3-30*z^2-5*z+4)",
+    "(3*z^2-1)/(z^3-3*z)",
+    "(z^3-3*z)/(-3*z^2+1)",
+    "(z^3-21*z^2-3*z+7)/(-7*z^3-3*z^2+21*z+1)",
+    "(z^11+66*z^6-11*z)/(-11*z^10-66*z^5+1)",
+    "345025251*z^6",
+]
+
+
+def _power_map(k):
+    if k > 0:
+        return _zmap((0,) * k + (1,), (1,))
+    return _zmap((1,), (0,) * -k + (1,))
+
+
+def _twist(k, fv):
+    return conjugate_map(_power_map(k), Mobius(QQ, *fv))
+
+
+def _random_twists(rng, count):
+    """Power maps and battery rows with orders 3, 4 and 6 in Aut, each
+    conjugated by a random Mobius map of small height."""
+    out = []
+    while len(out) < count:
+        a, b, c, d = [rng.randint(-5, 5) for _ in range(4)]
+        if a * d == b * c:
+            continue
+        f = Mobius(QQ, a, b, c, d)
+        base = rng.choice([_power_map(rng.choice([-5, -4, -3, -2, 2, 3, 4, 5])),
+                           parse_map(rng.choice(BATTERY[:8]), QQ)])
+        out.append(conjugate_map(base, f))
+    return out
+
+
+def _good_small_primes(phi, top=31):
+    return [p for p in (5, 7, 11, 13, 17, 19, 23, 29, 31) if p <= top and phi.is_good_prime(p)]
+
+
+def test_rational_elements_reduce_into_their_order_class():
+    rng = random.Random(808)
+    maps = [_twist(k, fv) for k, fv in TWISTS]
+    maps += [parse_map(e, QQ) for e in BATTERY[:8]]
+    maps += _random_twists(rng, 8)
+    orders_seen = set()
+    for phi in maps:
+        els = aut_qq(phi, algorithm="fixed-points").elements
+        for p in _good_small_primes(phi):
+            fib = aut_ff(phi.reduce_mod_p(p)).elements
+            classes = _order_classes(p, fib, {Mobius.identity(QQ)})
+            for s in els:
+                n = s.order()
+                if n == 1:
+                    continue
+                orders_seen.add(n)
+                assert s.reduce_mod_p(p).t in classes[QQ_ORDERS.index(n)], (phi, s, p)
+    assert orders_seen == set(QQ_ORDERS)
+
+
+def test_order_classes_drop_other_orders_and_found_elements():
+    # twisted z^12 mod 23 has 22 automorphisms: the identity, 10 of order
+    # 11, which no rational Mobius map has, and 11 involutions
+    phi = _twist(12, (-2, -10, 4, 1))
+    assert phi.is_good_prime(23)
+    fib = aut_ff(phi.reduce_mod_p(23)).elements
+    assert len(fib) == 22
+    assert sum(1 for s in fib if s.order() == 11) == 10
+    classes = _order_classes(23, fib, {Mobius.identity(QQ)})
+    assert len(classes) == len(ORDER_CLASSES)
+    assert sorted(classes[0]) == sorted(s.t for s in fib if s.order() == 2)
+    assert len(classes[0]) == 11 and not any(classes[1:])
+    # the residue of an element already found is dropped
+    aut = aut_qq(phi, algorithm="fixed-points").elements
+    assert len(aut) == 2
+    after = _order_classes(23, fib, set(aut))
+    assert len(after[0]) == 10
+    assert all(s.reduce_mod_p(23).t in classes[0] and s.reduce_mod_p(23).t not in after[0]
+               for s in aut if not s.is_identity())
+
+
+def test_aut_ff_fibers_match_fixed_points():
+    # the CRT engine's fiber source against the fixed-point engine mod p,
+    # over the exhaustive scan (p <= 31) and invariant sets (p = 101)
+    maps = [_twist(k, fv) for k, fv in TWISTS if abs(k) <= 12]
+    maps += [parse_map(e, QQ) for e in BATTERY]
+    for phi in maps:
+        primes = _good_small_primes(phi) + [next(p for p in (101, 103, 107) if phi.is_good_prime(p))]
+        for p in primes:
+            phi_p = phi.reduce_mod_p(p)
+            res = aut_ff(phi_p)
+            assert res.algorithm == ("exhaustive" if p <= 31 else "invariant-sets")
+            assert set(res.elements) == set(aut_fixed_points(phi_p)), (phi, p)
