@@ -153,15 +153,15 @@ def _integral_gso(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return d, lam
 
 
-def lll_reduce(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+def lll_reduce(rows: Sequence[Sequence[int]]
+               ) -> tuple[list[list[int]], list[int], list[list[int]]]:
     """LLL-reduce a full-rank integer basis with delta = 99/100, in integers
     only: Cohen's integral LLL (Alg. 2.6.7), which keeps d_i and
     lambda_ij = d_{j+1} mu_ij exact and updates them in place on
-    size reduction and swaps."""
+    size reduction and swaps.  Returns (basis, d, lam), the last two the
+    integral GSO data of the reduced basis."""
     b = [list(map(int, r)) for r in rows]
     n = len(b)
-    if n <= 1:
-        return b
     d, lam = _integral_gso(b)
 
     def reduce(k: int, l: int) -> None:
@@ -192,19 +192,20 @@ def lll_reduce(rows: Sequence[Sequence[int]]) -> list[list[int]]:
             for l in range(k - 2, -1, -1):
                 reduce(k, l)
             k += 1
-    return b
+    return b, d, lam
 
 
-def _short_vectors(basis: list[list[int]], bound_sq: int) -> list[tuple[int, ...]]:
+def _short_vectors(basis: list[list[int]], d: list[int], lam: list[list[int]],
+                   bound_sq: int) -> list[tuple[int, ...]]:
     """All nonzero lattice vectors with ||v||_2^2 <= bound_sq, up to sign.
 
-    Fincke-Pohst over the integral GSO: at level l the center is C/d[l+1]
+    Fincke-Pohst over the integral GSO d, lam of the basis (as lll_reduce
+    returns it): at level l the center is C/d[l+1]
     with C = -sum_{i>l} lam[i][l] x_i, a step to x costs
     (d[l+1] x - C)^2 / (d[l] d[l+1]), and the squared length left is kept
     as an exact integer fraction num/den.
     """
     n = len(basis)
-    d, lam = _integral_gso(basis)
     out: list[tuple[int, ...]] = []
     coeffs = [0] * n
 
@@ -265,9 +266,9 @@ def shortest_congruent_lift(
     rows = _congruence_basis(r, n)
     if rows is None:
         return []
-    basis = lll_reduce(rows)
+    basis, d, lam = lll_reduce(rows)
     found = set()
-    for v in _short_vectors(basis, 4 * bound * bound):
+    for v in _short_vectors(basis, d, lam, 4 * bound * bound):
         if max(abs(x) for x in v) > bound:
             continue
         g = math.gcd(math.gcd(math.gcd(v[0], v[1]), math.gcd(v[2], v[3])), n)

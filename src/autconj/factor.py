@@ -1,14 +1,18 @@
 """Factorization toolbox.
 
-Finite fields get the full classical stack: Musser squarefree decomposition
+Finite fields get the classical pipeline: Musser squarefree decomposition
 (with p-th root descent), distinct-degree splitting, Cantor-Zassenhaus
-equal-degree splitting (trace map in characteristic 2).
+equal-degree splitting (trace map in characteristic 2).  distinct_degree
+is the one x^q-gcd sieve; with a degree bound it stops there and drops the
+cofactor unfactored, which is how roots (bound 1) and the linear and
+quadratic factors the solvers need (bound 2) are read off.
 
 Over Q we only ever need factors of degree <= 2 (fixed-point and 2-periodic
 data of a rational map live in at worst quadratic extensions), so instead
 of a general rational factorizer there is small_factors_qq: reduce mod a
 good prime, pull out the part whose irreducible factors have degree <= 2
-with one gcd against x^(p^2) - x, Hensel-lift those factors, and test the
+with one gcd against x^(p^2) - x, split it, Hensel-lift the factors in
+(Z/p^(2^j))[x] with the residue-ring kernel of poly.py, and test the
 symmetric lifts for exact divisibility.  Mignotte's bound says a monic
 factor g with deg g <= 2 of F has |coeffs of lc(F)*g| <= 2*||F||_2, so
 lifting past 4*||F||_2 identifies every candidate uniquely.
@@ -22,7 +26,7 @@ import random
 from fractions import Fraction
 
 from .domains import QQ
-from .finitefield import PrimeField
+from .finitefield import IntegersMod, PrimeField
 from .ntheory import next_prime
 from . import poly as P
 
@@ -83,22 +87,30 @@ def squarefree_part(K, f):
     return out
 
 
-def distinct_degree(K, f) -> list[tuple[int, tuple]]:
-    """[(d, product of irreducible factors of degree d)], f monic squarefree."""
+def distinct_degree(K, f, bound=None) -> list[tuple[int, tuple]]:
+    """[(d, product of irreducible factors of degree d)], f squarefree.
+
+    With a bound, only d <= bound: the sieve stops there and the cofactor,
+    whose factors all have larger degree, is dropped unfactored, so the
+    cost scales with the bound, not with deg f.
+    """
     q = K.order
+    x = P.pmono(K, 1)
     out = []
     cur = P.pmonic(K, f)
-    h = P.pmod(K, P.pmono(K, 1), cur)
+    h = P.pmod(K, x, cur)
     d = 0
-    while P.pdeg(cur) > 2 * d + 1:
+    while P.pdeg(cur) > 2 * d + 1 and (bound is None or d < bound):
         d += 1
         h = P.ppow_mod(K, h, q, cur)
-        g = P.pgcd(K, P.psub(K, h, P.pmono(K, 1)), cur)
+        g = P.pgcd(K, P.psub(K, h, x), cur)
         if P.pdeg(g) > 0:
             out.append((d, g))
             cur = P.pquo(K, cur, g)
             h = P.pmod(K, h, cur)
-    if P.pdeg(cur) > 0:
+    # every factor of cur has degree > d: cur is irreducible once
+    # deg cur <= 2d + 1, and that is the only way it fits under the bound
+    if 0 < P.pdeg(cur) and (bound is None or P.pdeg(cur) <= bound):
         out.append((P.pdeg(cur), cur))
     return out
 
@@ -151,11 +163,12 @@ def one_root_ff(K, f):
     return K.neg(f[0])
 
 
-def factor_ff(K, f, rng=None) -> list[tuple[tuple, int]]:
+def factor_ff(K, f, rng=None, bound=None) -> list[tuple[tuple, int]]:
     """Monic irreducible factorization over a finite field.
 
     Returns [(factor, multiplicity)] sorted by degree then coefficients;
-    the unit is dropped.  Deterministic for a fixed seed.
+    the unit is dropped.  With a bound, only the factors of degree <= bound
+    (see distinct_degree).  Deterministic for a fixed seed.
     """
     if rng is None:
         rng = random.Random(_CZ_SEED)
@@ -163,70 +176,16 @@ def factor_ff(K, f, rng=None) -> list[tuple[tuple, int]]:
         return []
     out = []
     for mult, part in squarefree_decomposition(K, f).items():
-        for d, prod in distinct_degree(K, part):
+        for d, prod in distinct_degree(K, part, bound):
             for g in equal_degree(K, prod, d, rng):
                 out.append((g, mult))
     out.sort(key=lambda t: (P.pdeg(t[0]), [K.sort_key(c) for c in t[0]]))
     return out
 
 
-def factors_up_to(K, f, bound: int, rng=None) -> list[tuple[tuple, int]]:
-    """Monic irreducible factors of degree <= bound only, with multiplicity.
-
-    Stops the distinct-degree sieve at the bound and discards the cofactor
-    unfactored, so the cost scales with bound, not with deg f.  The
-    dynatomic polynomials this feeds are large but only their linear and
-    quadratic factors ever matter.
-    """
-    if rng is None:
-        rng = random.Random(_CZ_SEED)
-    if P.pdeg(f) < 1:
-        return []
-    q = K.order
-    out = []
-    for mult, part in squarefree_decomposition(K, f).items():
-        cur = P.pmonic(K, part)
-        h = P.pmod(K, P.pmono(K, 1), cur)
-        d = 0
-        while d < bound and P.pdeg(cur) > 2 * d + 1:
-            d += 1
-            h = P.ppow_mod(K, h, q, cur)
-            g = P.pgcd(K, P.psub(K, h, P.pmono(K, 1)), cur)
-            if P.pdeg(g) > 0:
-                for w in equal_degree(K, g, d, rng):
-                    out.append((w, mult))
-                cur = P.pquo(K, cur, g)
-                h = P.pmod(K, h, cur)
-        # anything left with all factors past d is irreducible only if it
-        # fits under 2d + 1; either way it matters only below the bound
-        if 0 < P.pdeg(cur) <= bound:
-            out.append((cur, mult))
-    out.sort(key=lambda t: (P.pdeg(t[0]), [K.sort_key(c) for c in t[0]]))
-    return out
-
-
 def roots_ff(K, f) -> list[tuple]:
     """[(root, multiplicity)] over a finite field K, sorted."""
-    w = squarefree_part(K, f)
-    xq = P.ppow_mod(K, P.pmono(K, 1), K.order, w)
-    lin = P.pgcd(K, P.psub(K, xq, P.pmono(K, 1)), w)
-    roots = []
-    if P.pdeg(lin) >= 1:
-        rng = random.Random(_CZ_SEED)
-        for g in equal_degree(K, lin, 1, rng):
-            roots.append(K.neg(g[0]))
-    out = []
-    for r in roots:
-        lin_factor = (K.neg(r), K.one)
-        mult = 0
-        cur = f
-        while True:
-            q, rem = P.pdivmod(K, cur, lin_factor)
-            if rem:
-                break
-            mult += 1
-            cur = q
-        out.append((r, mult))
+    out = [(K.neg(g[0]), mult) for g, mult in factor_ff(K, f, bound=1)]
     out.sort(key=lambda t: K.sort_key(t[0]))
     return out
 
@@ -263,47 +222,6 @@ def form_factorization_type(K, F) -> tuple:
 # ---------------------------------------------------------------------------
 # rational factors of degree <= 2 via mod-p reduction and Hensel lifting
 
-def _zmul(f, g, m):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _zsub(f, g, m):
-    out = list(f) + [0] * (len(g) - len(f))
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _zdivmod_monic(f, g, m):
-    """Divide by monic g in (Z/m)[x]."""
-    f = list(f)
-    dg = len(g) - 1
-    q = [0] * max(len(f) - dg, 0)
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i] % m
-        if c:
-            q[i - dg] = c
-            for j, b in enumerate(g):
-                f[i - dg + j] = (f[i - dg + j] - c * b) % m
-    while q and q[-1] == 0:
-        q.pop()
-    r = f[:dg]
-    while r and r[-1] == 0:
-        r.pop()
-    return tuple(q), tuple(r)
-
-
 def _sym(c, m):
     c %= m
     return c - m if 2 * c > m else c
@@ -316,27 +234,19 @@ def _hensel_pair(F, g, h, t, p, target):
     """
     m = p
     while m < target:
-        m2 = m * m
-        e = _zsub(tuple(c % m2 for c in F), _zmul(g, h, m2), m2)
-        dg = _zdivmod_monic(_zmul(t, e, m2), g, m2)[1]
-        g2 = tuple((a + b) % m2 for a, b in
-                   zip(g, list(dg) + [0] * (len(g) - len(dg))))
-        num = _zsub(e, _zmul(h, dg, m2), m2)
-        dh, rem = _zdivmod_monic(num, g2, m2)
+        m *= m
+        R = IntegersMod(m)
+        e = P.psub(R, tuple(c % m for c in F), P.pmul(R, g, h))
+        dg = P.pmod(R, P.pmul(R, t, e), g)
+        g2 = P.padd(R, g, dg)
+        dh, rem = P.pdivmod(R, P.psub(R, e, P.pmul(R, h, dg)), g2)
         if rem:
             raise ArithmeticError("hensel step lost divisibility")
-        h2 = list(h)
-        for i, c in enumerate(dh):
-            if i < len(h2):
-                h2[i] = (h2[i] + c) % m2
-            else:
-                h2.append(c % m2)
-        h2 = tuple(h2)
-        # newton-update the inverse: t <- t*(2 - h2*t) mod (g2, m2)
-        ht = _zdivmod_monic(_zmul(h2, t, m2), g2, m2)[1]
-        two_minus = _zsub((2,), ht, m2)
-        t = _zdivmod_monic(_zmul(t, two_minus, m2), g2, m2)[1]
-        g, h, m = g2, h2, m2
+        h = P.padd(R, h, dh)
+        # newton-update the inverse: t <- t*(2 - h*t) mod (g2, m)
+        ht = P.pmod(R, P.pmul(R, h, t), g2)
+        t = P.pmod(R, P.pmul(R, t, P.psub(R, (2,), ht)), g2)
+        g = g2
     return g, h, m
 
 
@@ -447,7 +357,9 @@ def small_factors_qq(F) -> tuple[list, list]:
         return linears, quads
 
     # pick a good small prime: lc stays a unit and the reduction stays
-    # squarefree; among a few such primes prefer the smallest deg <= 2 part
+    # squarefree; among a few such primes prefer the smallest product of
+    # the factors of degree <= 2, gcd(fbar, x^(p^2) - x), one gcd where
+    # distinct_degree(K, fbar, 2) would take two
     lead = Fs[-1]
     best = None
     p = 3
@@ -461,19 +373,17 @@ def small_factors_qq(F) -> tuple[list, list]:
         if P.pdeg(P.pgcd(K, fbar, P.pderiv(K, fbar))) != 0:
             continue
         tried += 1
-        part = _deg_le2_part(K, fbar)
+        x = P.pmono(K, 1)
+        part = P.pgcd(K, P.psub(K, P.ppow_mod(K, x, p * p, fbar), x), fbar)
         if best is None or P.pdeg(part) < P.pdeg(best[2]):
-            best = (p, fbar, part)
+            best = (K, fbar, part)
         if P.pdeg(part) == 0:
             break
     if best is None:
         raise ArithmeticError("no good prime found")  # practically impossible
-    p, fbar, part = best
-    if P.pdeg(part) == 0:
-        return [], []
-
-    K = PrimeField(p)
-    small = [g for g, _ in factor_ff(K, part)]
+    K, fbar, part = best
+    rng = random.Random(_CZ_SEED)
+    small = [g for d, prod in distinct_degree(K, part) for g in equal_degree(K, prod, d, rng)]
     # mignotte: coefficients of lc*g are bounded by 2*||Fs||_2
     target = 4 * (math.isqrt(sum(c * c for c in Fs)) + 1) + 1
     lifted = []
@@ -481,13 +391,13 @@ def small_factors_qq(F) -> tuple[list, list]:
         h = P.pquo(K, fbar, g)
         t = P.pxgcd(K, h, g)[1]
         t = P.pmod(K, t, g)
-        gl, _, m = _hensel_pair(Fs, g, h, t, p, target)
+        gl, _, m = _hensel_pair(Fs, g, h, t, K.p, target)
         lifted.append((P.pdeg(g), gl, m))
 
     candidates = [(g, m) for d, g, m in lifted]
     lin_lifts = [(g, m) for d, g, m in lifted if d == 1]
     for (g1, m), (g2, _) in itertools.combinations(lin_lifts, 2):
-        candidates.append((_zmul(g1, g2, m), m))
+        candidates.append((P.pmul(IntegersMod(m), g1, g2), m))
 
     seen = set()
     for g, m in candidates:
@@ -501,43 +411,3 @@ def small_factors_qq(F) -> tuple[list, list]:
     linears.sort()
     quads.sort()
     return linears, quads
-
-
-def _deg_le2_part(K, f):
-    """gcd(f, x^(p^2) - x): the factors of degree dividing 2."""
-    x = P.pmono(K, 1)
-    xp2 = _ppow_mod_int(f, K.p, K.p ** 2)
-    return P.pgcd(K, P.psub(K, xp2, x), f)
-
-
-def _ppow_mod_int(f, p: int, e: int):
-    """x^e mod f over GF(p), with raw-int coefficient arithmetic."""
-    def mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        return out
-
-    def mod(a):
-        a = list(a)
-        df = len(f) - 1
-        inv_l = pow(f[-1], -1, p)
-        for i in range(len(a) - 1, df - 1, -1):
-            c = a[i] * inv_l % p
-            if c:
-                for j in range(df + 1):
-                    a[i - df + j] = (a[i - df + j] - c * f[j]) % p
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    base = mod([0, 1])
-    out = mod([1])
-    while e:
-        if e & 1:
-            out = mod(mul(out, base))
-        base = mod(mul(base, base))
-        e >>= 1
-    return tuple(out)

@@ -37,7 +37,6 @@ from . import poly as P
 from .domains import QQ
 from .factor import (
     factor_ff,
-    factors_up_to,
     one_root_ff,
     roots_ff,
     form_factorization_type,
@@ -56,7 +55,6 @@ from .projline import (
     mobius_from_three_points,
     is_conjugating,
     is_automorphism,
-    form_rational_roots,
 )
 from .results import AutResult, ConjResult
 
@@ -309,7 +307,7 @@ def _unity_data(K, d: int):
     quads = []
     for m in (d - 1, d, d + 1):
         f = P.padd(K, P.pmono(K, m), P.pconst(K, K.neg(K.one)))
-        for g, _ in factors_up_to(K, f, 2):
+        for g, _ in factor_ff(K, f, bound=2):
             if P.pdeg(g) == 1:
                 T.add(K.neg(g[0]))
             elif g not in quads:
@@ -319,13 +317,16 @@ def _unity_data(K, d: int):
 
 def _roots_and_quads(K, F):
     """Sorted rational roots of a form, and the monic irreducible quadratic
-    factors of its dehomogenization; over Q from one small_factors_qq call."""
+    factors of its dehomogenization, both from one factoring call:
+    factor_ff up to degree 2 over F_q, small_factors_qq over Q."""
     f = P.dehom(K, F)
     if K.char != 0:
-        quads = [g for g, _ in factors_up_to(K, f, 2) if P.pdeg(g) == 2]
-        return form_rational_roots(K, F), quads
-    linears, quads = small_factors_qq(f)
-    roots = [(-c0, K.one) for c0, _ in linears]
+        small = [g for g, _ in factor_ff(K, f, bound=2)]
+        linears = [g for g in small if P.pdeg(g) == 1]
+        quads = [g for g in small if P.pdeg(g) == 2]
+    else:
+        linears, quads = small_factors_qq(f)
+    roots = [(K.neg(c0), K.one) for c0, _ in linears]
     if P.form_ymult(K, F):
         roots.append(infinity(K))
     return sorted(roots, key=lambda pt: point_key(K, pt)), quads

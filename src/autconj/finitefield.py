@@ -1,10 +1,11 @@
-"""Prime fields, extension towers, and the GF constructor.
+"""Residue rings, prime fields, extension towers, and the GF constructor.
 
-PrimeField elements are plain ints in [0, p).  ExtensionField elements are
+IntegersMod(m) and its subclass PrimeField have plain int elements in
+[0, m); poly.py runs raw-int loops for both.  ExtensionField elements are
 fixed-length tuples of base-field elements (coefficients of the residue
-class modulo a monic irreducible, lowest degree first).  Towers compose:
-the base of an ExtensionField can itself be an ExtensionField, or QQ, which
-is how quadratic number fields enter the rational fixed-point solver.
+class modulo a monic irreducible, lowest degree first) over a finite base.
+Towers compose: the base of an ExtensionField can itself be an
+ExtensionField.
 
 Only canonical representatives exist, so == and hash are structural.
 """
@@ -18,7 +19,50 @@ from .ntheory import is_prime
 from . import poly as P
 
 
-class PrimeField:
+class IntegersMod:
+    """Z/m with int elements in [0, m); a ring, so only units invert."""
+
+    is_field = False
+
+    def __init__(self, m: int):
+        self.m = m
+        self.char = m
+        self.order = m
+        self.zero = 0
+        self.one = 1 % m
+
+    def from_int(self, n: int) -> int:
+        return n % self.m
+
+    def add(self, a, b):
+        return (a + b) % self.m
+
+    def sub(self, a, b):
+        return (a - b) % self.m
+
+    def mul(self, a, b):
+        return a * b % self.m
+
+    def neg(self, a):
+        return -a % self.m
+
+    def inv(self, a):
+        try:
+            return pow(a, -1, self.m)
+        except ValueError:
+            raise ZeroDivisionError("%d is not a unit in %r" % (a, self)) from None
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.m == self.m
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.m))
+
+    def __repr__(self):
+        return "Z/%d" % self.m
+
+
+class PrimeField(IntegersMod):
     """GF(p) with int elements."""
 
     is_field = True
@@ -26,32 +70,9 @@ class PrimeField:
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError("%d is not prime" % p)
+        super().__init__(p)
         self.p = p
-        self.char = p
-        self.order = p
-        self.zero = 0
-        self.one = 1 % p
         self._nonsquare: Optional[int] = None
-
-    def from_int(self, n: int) -> int:
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in GF(%d)" % self.p)
-        return pow(a, -1, self.p)
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
@@ -113,12 +134,6 @@ class PrimeField:
     def sort_key(self, a):
         return a
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
     def __repr__(self):
         return "GF(%d)" % self.p
 
@@ -144,7 +159,7 @@ class ExtensionField:
         self.modulus = modulus
         self.k = k
         self.char = base.char
-        self.order = base.order ** k if base.order is not None else None
+        self.order = base.order ** k
         self.zero = (base.zero,) * k
         self.one = (base.one,) + (base.zero,) * (k - 1)
         # x^(k+j) mod modulus for j = 0..k-2, as coefficient tuples
@@ -233,8 +248,6 @@ class ExtensionField:
 
     def frobenius(self, a):
         """The q-power map, q = |base|; fixes exactly the base field."""
-        if self.base.order is None:
-            raise ValueError("frobenius needs a finite base")
         return self.pow(a, self.base.order)
 
     def is_square(self, a) -> bool:
@@ -298,9 +311,7 @@ class ExtensionField:
         return hash(("ExtensionField", self.base, self.modulus))
 
     def __repr__(self):
-        if self.order is not None:
-            return "GF(%d^%d over %r)" % (self.base.order, self.k, self.base)
-        return "Ext(%r, deg %d)" % (self.base, self.k)
+        return "GF(%d^%d over %r)" % (self.base.order, self.k, self.base)
 
 
 def _is_irreducible_over_prime(F: PrimeField, f) -> bool:

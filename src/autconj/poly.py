@@ -8,13 +8,18 @@ at infinity (c[D] = 0 iff (1:0) is a root).
 
 Every function takes the domain K first.  K only needs the small context
 interface from domains.py, so this layer works uniformly over Q, Z, prime
-fields and extension towers.
+fields and extension towers.  Over a residue ring Z/m (IntegersMod, prime
+fields included) the products, sums and divisions run as plain-int loops
+that reduce once per coefficient; division there needs a divisor whose
+leading coefficient is a unit.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
+
+from . import finitefield as FF
 
 Poly = tuple
 Form = tuple
@@ -50,8 +55,13 @@ def padd(K, f, g) -> Poly:
     if len(f) < len(g):
         f, g = g, f
     out = list(f)
-    for i, c in enumerate(g):
-        out[i] = K.add(out[i], c)
+    if isinstance(K, FF.IntegersMod):
+        m = K.m
+        for i, c in enumerate(g):
+            out[i] = (out[i] + c) % m
+    else:
+        for i, c in enumerate(g):
+            out[i] = K.add(out[i], c)
     return pstrip(K, out)
 
 
@@ -60,18 +70,45 @@ def pneg(K, f) -> Poly:
 
 
 def psub(K, f, g) -> Poly:
-    return padd(K, f, pneg(K, g))
+    if not isinstance(K, FF.IntegersMod):
+        return padd(K, f, pneg(K, g))
+    m = K.m
+    out = list(f) + [0] * (len(g) - len(f))
+    for i, c in enumerate(g):
+        out[i] = (out[i] - c) % m
+    return pstrip(K, out)
 
 
 def pscale(K, f, c) -> Poly:
     if c == K.zero:
         return ()
+    if isinstance(K, FF.IntegersMod):
+        m = K.m
+        return pstrip(K, [c * a % m for a in f])
     return pstrip(K, tuple(K.mul(c, a) for a in f))
+
+
+def _int_mul(f, g, m) -> list:
+    """Product of int coefficient sequences mod m, unstripped."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+    return [c % m for c in out]
+
+
+def _int_strip(out: list) -> Poly:
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def pmul(K, f, g) -> Poly:
     if not f or not g:
         return ()
+    if isinstance(K, FF.IntegersMod):
+        return _int_strip(_int_mul(f, g, K.m))
     out = [K.zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a == K.zero:
@@ -81,9 +118,30 @@ def pmul(K, f, g) -> Poly:
     return pstrip(K, out)
 
 
+def _int_divmod(K, f, g) -> tuple[Poly, Poly]:
+    """pdivmod over Z/m; g's leading coefficient must be a unit."""
+    m = K.m
+    dg = len(g) - 1
+    lg_inv = 1 if g[-1] == 1 else K.inv(g[-1])
+    low = g[:-1]
+    r = list(f)
+    q = [0] * max(len(f) - dg, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + dg] % m
+        if c:
+            if lg_inv != 1:
+                c = c * lg_inv % m
+            q[k] = c
+            for j, b in enumerate(low, k):
+                r[j] -= c * b
+    return _int_strip(q), _int_strip([c % m for c in r[:dg]])
+
+
 def pdivmod(K, f, g) -> tuple[Poly, Poly]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
+    if isinstance(K, FF.IntegersMod):
+        return _int_divmod(K, f, g)
     if not K.is_field:
         raise ValueError("division needs a field domain")
     f = list(f)
@@ -111,13 +169,20 @@ def pmod(K, f, g) -> Poly:
 def ppow_mod(K, f, e: int, m) -> Poly:
     if e < 0:
         raise ValueError("negative exponent")
+    if isinstance(K, FF.IntegersMod):
+        def mulmod(a, b):
+            return _int_divmod(K, _int_mul(a, b, K.m), m)[1]
+    else:
+        def mulmod(a, b):
+            return pmod(K, pmul(K, a, b), m)
     f = pmod(K, f, m)
     out = pmod(K, (K.one,), m)
     while e:
         if e & 1:
-            out = pmod(K, pmul(K, out, f), m)
-        f = pmod(K, pmul(K, f, f), m)
+            out = mulmod(out, f)
         e >>= 1
+        if e:
+            f = mulmod(f, f)
     return out
 
 
@@ -203,6 +268,8 @@ def form_ymult(K, F) -> int:
 
 
 def form_mul(K, F, G) -> Form:
+    if isinstance(K, FF.IntegersMod):
+        return tuple(_int_mul(F, G, K.m))
     out = [K.zero] * (len(F) + len(G) - 1)
     for i, a in enumerate(F):
         if a == K.zero:

@@ -139,11 +139,6 @@ class Mobius:
         """self after other."""
         return Mobius(self.K, *mat_mul(self.K, self.t, other.t))
 
-    def inverse(self) -> "Mobius":
-        K = self.K
-        a, b, c, d = self.t
-        return Mobius(K, d, K.neg(b), K.neg(c), a)
-
     def order(self, cap: int = 10000) -> int:
         s = self
         n = 1
@@ -206,25 +201,19 @@ class Mobius:
         return "Mobius(%s)" % (self.to_str(),)
 
 
-def _coef_str(K, x) -> str:
-    if K.char == 0 or isinstance(x, int):
-        return str(x)
-    return str(x)
-
-
 def _lin_str(K, a, b) -> str:
     """Pretty a*z + b."""
     if a == K.zero:
-        return _coef_str(K, b)
+        return str(b)
     if a == K.one:
         za = "z"
     elif K.char == 0 and a == -1:
         za = "-z"
     else:
-        za = "%s*z" % _coef_str(K, a)
+        za = "%s*z" % str(a)
     if b == K.zero:
         return za
-    bs = _coef_str(K, b)
+    bs = str(b)
     if K.char == 0 and not bs.startswith("-"):
         return "%s + %s" % (za, bs)
     if K.char == 0:
@@ -320,9 +309,6 @@ class RatMap:
             K.sub(K.mul(x1, u), K.mul(x0, v)) for u, v in zip(self.F0, self.F1)
         )
 
-    def fixed_points(self) -> list:
-        return form_rational_roots(self.K, self.fixed_point_form())
-
     def rational_preimages(self, pt) -> list:
         return form_rational_roots(self.K, self.preimage_form(pt))
 
@@ -381,7 +367,7 @@ def _poly_str(K, f) -> str:
         if c == K.zero:
             continue
         if i == 0:
-            mono = _coef_str(K, c)
+            mono = str(c)
         else:
             zp = "z" if i == 1 else "z^%d" % i
             if c == K.one:
@@ -389,7 +375,7 @@ def _poly_str(K, f) -> str:
             elif K.char == 0 and c == -1:
                 mono = "-" + zp
             else:
-                mono = "%s*%s" % (_coef_str(K, c), zp)
+                mono = "%s*%s" % (str(c), zp)
         parts.append(mono)
     out = parts[0]
     for mono in parts[1:]:

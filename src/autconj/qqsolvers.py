@@ -45,8 +45,9 @@ from .results import AutResult, ConjResult
 PRIME_CAP = 40          # rounds before the CRT search gives up
 COMBO_GUARD = 500_000   # hard cap on residue combinations per lifting pass
 COMBO_BUDGET = 10_000   # lifting works on the cheapest primes within this
-QQ_ORDERS = (2, 3, 4, 6)  # possible orders > 1 of a rational Mobius map
-ORDER_CLASSES = (0, 1, 2, 3)  # tr^2/det at those orders, in the same order
+# tr^2/det of the rational Mobius maps of order 2, 3, 4 and 6, the only
+# orders > 1 over Q; for p >= 5 each class mod p is exactly one order
+ORDER_CLASSES = (0, 1, 2, 3)
 
 FIXED_POINT_DEGREE_LIMIT = 12
 
@@ -146,16 +147,15 @@ def _order_classes(p: int, fib, found):
     return classes
 
 
-def _order_bound(fibers, g_order: int) -> int:
+def _order_bound(fibers, counts, g_order: int) -> int:
     """Largest group order compatible with every fiber: divides the gcd
     of the fiber sizes, is a multiple of the order found so far, and fits
-    under 1 + (elements of each rational order available in every fiber)."""
+    under 1 + (elements of each rational order available in every fiber),
+    read from counts, the sizes of each fiber's ORDER_CLASSES."""
     G = 0
     for _, fib in fibers:
         G = math.gcd(G, len(fib))
-    caps = 0
-    for n in QQ_ORDERS:
-        caps += min(sum(1 for s in fib if s.order() == n) for _, fib in fibers)
+    caps = sum(min(col) for col in zip(*counts))
     best = g_order
     for D in divisors(G):
         if D % g_order == 0 and D <= 1 + caps and D > best:
@@ -167,6 +167,7 @@ def _aut_crt(phi: RatMap) -> AutResult:
     M = conjugacy_height_bound(phi)
     stream = _good_primes([phi])
     fibers = []
+    counts = []
     found = {Mobius.identity(QQ)}
     rejected = set()
     last_used = None
@@ -175,7 +176,9 @@ def _aut_crt(phi: RatMap) -> AutResult:
             raise RuntimeError("CRT search used %d primes without terminating"
                                % PRIME_CAP)
         p = next(stream)
-        fibers.append((p, _aut_ff_elements(phi.reduce_mod_p(p))[0]))
+        fib = _aut_ff_elements(phi.reduce_mod_p(p))[0]
+        fibers.append((p, fib))
+        counts.append([len(c) for c in _order_classes(p, fib, ())])
         class_fibers = [(q, _order_classes(q, fib, found)) for q, fib in fibers]
         use = _choose_fibers(class_fibers)
         used_key = tuple(p for p, _ in use)
@@ -194,7 +197,7 @@ def _aut_crt(phi: RatMap) -> AutResult:
             found = set(closure(list(found)))
         if any(len(found) == len(fib) for _, fib in fibers):
             break
-        if _order_bound(fibers, len(found)) == len(found):
+        if _order_bound(fibers, counts, len(found)) == len(found):
             break
         if N > 2 * M * M:
             break

@@ -121,7 +121,7 @@ def test_lll_preserves_lattice():
     for _ in range(40):
         n = rng.choice([35, 77, 1001, 30031])
         r, i, basis = _normalized_basis(rng, n)
-        red = lll_reduce(basis)
+        red = lll_reduce(basis)[0]
         # membership: every reduced row is v_i times r mod n; the index
         # n^3 of the lattice in Z^4 then makes the rows a basis of it
         for v in red:
@@ -148,12 +148,13 @@ def test_congruence_basis_without_unit_coordinate():
 
 
 def test_lll_size_reduction_property():
-    # |mu_ij| <= 1/2 for i > j on the reduced basis
+    # |mu_ij| <= 1/2 for i > j on the reduced basis, and the returned
+    # integral GSO is that of the reduced basis
     rng = random.Random(3)
     for _ in range(25):
         n = rng.choice([101, 1009, 10007])
         _, _, basis = _normalized_basis(rng, n)
-        red = lll_reduce(basis)
+        red, d, lam = lll_reduce(basis)
         k = len(red)
         # Gram-Schmidt from scratch
         star = [[Fraction(x) for x in red[0]]]
@@ -169,6 +170,13 @@ def test_lll_size_reduction_property():
         for i in range(k):
             for j in range(i):
                 assert abs(mu[i][j]) <= Fraction(1, 2)
+        # d[i+1] = prod_{j<=i} |b*_j|^2 and lam[i][j] = d[j+1] mu_ij
+        prod = Fraction(1)
+        for i in range(k):
+            prod *= sum(a * a for a in star[i])
+            assert d[i + 1] == prod
+            for j in range(i):
+                assert lam[i][j] == d[j + 1] * mu[i][j]
 
 
 def test_shortest_congruent_lift_identity():

@@ -9,7 +9,6 @@ from autconj.factor import (
     _exact_divides,
     factor_ff,
     factorization_type,
-    factors_up_to,
     form_factorization_type,
     form_radical,
     form_radical_qq,
@@ -140,7 +139,7 @@ def test_factors_up_to_agrees_with_full_factorization():
         for _ in range(30):
             f = _rand_monic(K, rng.randrange(2, 9), rng)
             for bound in (1, 2):
-                got = sorted(factors_up_to(K, f, bound))
+                got = sorted(factor_ff(K, f, bound=bound))
                 want = sorted((g, m) for g, m in factor_ff(K, f) if P.pdeg(g) <= bound)
                 assert got == want, (p, f, bound)
 

@@ -1,9 +1,10 @@
-"""Every module-level function of the package has a caller outside tests.
+"""Every function and method of the package has a caller outside tests.
 
 A function that only its own tests call is dead weight: it is deleted
 together with those tests.  A function counts as used when its name is
 loaded (as a name or an attribute) somewhere in src/autconj or perfbench/,
-leaving out perfbench's own tests and the function's own definition.
+leaving out perfbench's own tests and the function's own definition.  The
+same holds for the non-dunder methods of the package's classes.
 """
 
 import ast
@@ -42,8 +43,15 @@ def test_every_package_function_has_a_caller():
             everywhere += _loaded_names(tree)
     unused = []
     for path, tree in _trees(PACKAGE):
-        for fn in tree.body:
-            if isinstance(fn, ast.FunctionDef) and fn.name not in ALLOWED:
-                if everywhere[fn.name] == _loaded_names(fn)[fn.name]:
-                    unused.append("%s.%s" % (path.stem, fn.name))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [("%s.%s" % (node.name, fn.name), fn) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")]
+            else:
+                continue
+            for name, fn in defs:
+                if fn.name not in ALLOWED and everywhere[fn.name] == _loaded_names(fn)[fn.name]:
+                    unused.append("%s.%s" % (path.stem, name))
     assert unused == []

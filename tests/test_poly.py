@@ -1,5 +1,6 @@
 """Dense univariate polynomial and binary form arithmetic."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -237,3 +238,42 @@ def test_form_mul_matches_poly_mul():
             assert P.form_eval(K, H, x, K.one) == K.mul(
                 P.form_eval(K, F, x, K.one), P.form_eval(K, G, x, K.one)
             )
+
+
+def test_residue_ring_kernel_matches_integer_arithmetic():
+    # (Z/p^k)[x] through the raw-int path against convolution and long
+    # division done in plain integers, reduced at the end
+    from autconj.domains import ZZ
+    from autconj.finitefield import IntegersMod
+
+    rng = random.Random(19)
+    for p, k in ((3, 5), (5, 4), (7, 8), (2, 20)):
+        m = p**k
+        R = IntegersMod(m)
+        for _ in range(40):
+            f = P.pstrip(R, tuple(rng.randrange(m) for _ in range(rng.randrange(1, 9))))
+            lead = rng.randrange(1, m)
+            lead += lead % p == 0  # a unit of Z/p^k
+            g = tuple(rng.randrange(m) for _ in range(rng.randrange(0, 4))) + (lead,)
+            prod = [0] * (len(f) + len(g) - 1)
+            for i, a in enumerate(f):
+                for j, b in enumerate(g):
+                    prod[i + j] += a * b
+            assert P.pmul(R, f, g) == P.pstrip(R, tuple(c % m for c in prod))
+            q, r = P.pdivmod(R, f, g)
+            assert len(r) < len(g)
+            back = P.padd(ZZ, P.pmul(ZZ, q, g), r)
+            diff = [a - b for a, b in itertools.zip_longest(back, f, fillvalue=0)]
+            assert all(c % m == 0 for c in diff), (m, f, g)
+        # a divisor with a non-unit leading coefficient is refused
+        try:
+            P.pdivmod(R, (1, 2, 3), (1, p))
+            assert False
+        except ZeroDivisionError:
+            pass
+    # Z itself still refuses polynomial division
+    try:
+        P.pdivmod(ZZ, (1, 2, 3), (1, 1))
+        assert False
+    except ValueError:
+        pass

@@ -12,6 +12,7 @@ from autconj.projline import (
     RatMap,
     _form_divexact,
     conjugate_map,
+    form_rational_roots,
     infinity,
     is_automorphism,
     is_conjugating,
@@ -70,17 +71,6 @@ def test_mobius_compose_associative():
         if x == (K.zero, K.zero):
             continue
         assert f.compose(g).apply(x) == f.apply(g.apply(x))
-
-
-def test_mobius_inverse():
-    rng = random.Random(23)
-    for _ in range(30):
-        a, b, c, d = (rng.randrange(-9, 10) for _ in range(4))
-        if a * d - b * c == 0:
-            continue
-        s = Mobius(QQ, a, b, c, d)
-        assert s.compose(s.inverse()).is_identity()
-        assert s.inverse().compose(s).is_identity()
 
 
 def test_mobius_order():
@@ -171,9 +161,9 @@ def test_fixed_point_form():
 
 
 def test_fixed_points():
-    assert Z2.fixed_points() == [(0, 1), (1, 1), (1, 0)]
+    assert form_rational_roots(QQ, Z2.fixed_point_form()) == [(0, 1), (1, 1), (1, 0)]
     phi = _zmap((1, 0, 1), (1,))  # z^2 + 1: only infinity is rational
-    assert phi.fixed_points() == [(1, 0)]
+    assert form_rational_roots(QQ, phi.fixed_point_form()) == [(1, 0)]
 
 
 def test_dynatomic_2():

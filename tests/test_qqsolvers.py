@@ -12,7 +12,6 @@ from autconj.groups import is_closed
 from autconj.projline import Mobius, RatMap, conjugate_map, is_automorphism, is_conjugating, random_map_qq
 from autconj.qqsolvers import (
     ORDER_CLASSES,
-    QQ_ORDERS,
     _good_primes,
     _order_classes,
     aut_qq,
@@ -263,6 +262,10 @@ def _good_small_primes(phi, top=31):
     return [p for p in (5, 7, 11, 13, 17, 19, 23, 29, 31) if p <= top and phi.is_good_prime(p)]
 
 
+# the orders > 1 of rational Mobius maps, in the order of ORDER_CLASSES
+RATIONAL_ORDERS = (2, 3, 4, 6)
+
+
 def test_rational_elements_reduce_into_their_order_class():
     rng = random.Random(808)
     maps = [_twist(k, fv) for k, fv in TWISTS]
@@ -279,8 +282,19 @@ def test_rational_elements_reduce_into_their_order_class():
                 if n == 1:
                     continue
                 orders_seen.add(n)
-                assert s.reduce_mod_p(p).t in classes[QQ_ORDERS.index(n)], (phi, s, p)
-    assert orders_seen == set(QQ_ORDERS)
+                assert s.reduce_mod_p(p).t in classes[RATIONAL_ORDERS.index(n)], (phi, s, p)
+    assert orders_seen == set(RATIONAL_ORDERS)
+
+
+def test_order_class_counts_are_order_counts():
+    # _order_bound counts the classes in place of the orders 2, 3, 4, 6
+    maps = [_twist(k, fv) for k, fv in TWISTS] + [parse_map(e, QQ) for e in BATTERY]
+    for phi in maps:
+        for p in _good_small_primes(phi):
+            fib = aut_ff(phi.reduce_mod_p(p)).elements
+            got = [len(c) for c in _order_classes(p, fib, ())]
+            want = [sum(1 for s in fib if s.order() == n) for n in RATIONAL_ORDERS]
+            assert got == want, (phi, p)
 
 
 def test_order_classes_drop_other_orders_and_found_elements():
