@@ -15,7 +15,12 @@ with one gcd against x^(p^2) - x, split it, Hensel-lift the factors in
 (Z/p^(2^j))[x] with the residue-ring kernel of poly.py, and test the
 symmetric lifts for exact divisibility.  Mignotte's bound says a monic
 factor g with deg g <= 2 of F has |coeffs of lc(F)*g| <= 2*||F||_2, so
-lifting past 4*||F||_2 identifies every candidate uniquely.
+lifting past 4*||F||_2 identifies every candidate uniquely.  A good prime
+is one where the reduction keeps its degree and stays squarefree; the
+first one also certifies that the input is squarefree, so the rational
+gcd runs only when none of the first 25 primes is good.  _exact_divides
+is the one integer exact division (Gauss's lemma keeps the quotient
+integral), which the dynatomic form over Q uses too.
 """
 
 from __future__ import annotations
@@ -203,10 +208,15 @@ def factorization_type(K, f) -> tuple:
 # forms
 
 def form_radical(K, F) -> tuple:
-    """Squarefree form with the same roots in P^1, including infinity."""
-    g = squarefree_part(K, P.dehom(K, F))
+    """Squarefree form with the same roots in P^1, including infinity;
+    over Q a primitive integer form (squarefree_part_qq)."""
+    f = P.dehom(K, F)
+    if K.char == 0:
+        g, zero = squarefree_part_qq(f), 0
+    else:
+        g, zero = squarefree_part(K, f), K.zero
     if P.form_ymult(K, F) > 0:
-        return tuple(g) + (K.zero,)
+        return tuple(g) + (zero,)
     return tuple(g)
 
 
@@ -255,8 +265,9 @@ def _monic_qq(f):
     return tuple(Fraction(c) / lead for c in f)
 
 
-def _exact_divides(cand, F) -> bool:
-    """cand | F in Q[x] for a primitive integer cand and an integer F.
+def _exact_divides(cand, F):
+    """F / cand for a primitive integer cand and an integer F, or None
+    when cand does not divide F in Q[x].
 
     By Gauss's lemma the quotient then has integer coefficients, so long
     division runs in integers and stops at the first leading coefficient
@@ -265,15 +276,16 @@ def _exact_divides(cand, F) -> bool:
     lead = cand[-1]
     m = len(cand) - 1
     rem = list(F)
+    quo = [0] * max(len(rem) - m, 0)
     for top in range(len(rem) - 1, m - 1, -1):
         q, r = divmod(rem[top], lead)
         if r:
-            return False
+            return None
         if q:
-            base = top - m
-            for i, c in enumerate(cand):
-                rem[base + i] -= q * c
-    return not any(rem[:m])
+            quo[top - m] = q
+            for i, c in enumerate(cand, top - m):
+                rem[i] -= q * c
+    return None if any(rem[:m]) else tuple(quo)
 
 
 def _squarefree_int(F):
@@ -285,38 +297,49 @@ def _squarefree_int(F):
     return P.primitive(tuple(int(c * den) for c in w))
 
 
-def squarefree_part_qq(f) -> tuple[int, ...]:
-    """Squarefree part of a rational polynomial, as a primitive integer
-    tuple.
+def _good_reductions(F, cap=None):
+    """(GF(p), F mod p) for the primes p >= 5, in order, at which the
+    reduction of the integer polynomial F keeps its degree and stays
+    squarefree; each one certifies that F is squarefree.  With a cap, gives
+    up when none of the first cap primes is one."""
+    p = 3
+    found = False
+    for tried in itertools.count():
+        if tried == cap and not found:
+            return
+        p = next_prime(p)
+        if F[-1] % p == 0:
+            continue
+        K = PrimeField(p)
+        fbar = tuple(c % p for c in F)
+        if P.pdeg(P.pgcd(K, fbar, P.pderiv(K, fbar))) == 0:
+            found = True
+            yield K, fbar
 
-    Probes a few primes first: a squarefree reduction with unit leading
-    coefficient certifies f itself is squarefree, skipping the rational
-    gcd, whose coefficient growth is brutal at the degrees the dynatomic
-    polynomials reach.
+
+def _squarefree_qq(f):
+    """(squarefree part of a rational polynomial as a primitive integer
+    tuple, its good reductions from _good_reductions).
+
+    A good reduction of f itself certifies that f is squarefree, which
+    skips the rational gcd, whose coefficient growth is brutal at the
+    degrees the dynatomic polynomials reach.
     """
     fq = P.pstrip(QQ, tuple(Fraction(c) for c in f))
-    if P.pdeg(fq) < 1:
-        return (1,) if fq else ()
     den = math.lcm(*(c.denominator for c in fq))
     fi = P.primitive(tuple(int(c * den) for c in fq))
-    probe = 3
-    for _ in range(25):
-        probe = next_prime(probe)
-        if fi[-1] % probe == 0:
-            continue
-        Kp = PrimeField(probe)
-        fbar = tuple(c % probe for c in fi)
-        if P.pdeg(P.pgcd(Kp, fbar, P.pderiv(Kp, fbar))) == 0:
-            return fi
-    return _squarefree_int(fi)
+    probes = _good_reductions(fi, cap=25)
+    first = next(probes, None)
+    if first is not None:
+        return fi, itertools.chain((first,), probes)
+    Fs = _squarefree_int(fi)
+    return Fs, _good_reductions(Fs)
 
 
-def form_radical_qq(F) -> tuple[int, ...]:
-    """Primitive integer squarefree form with the same projective roots."""
-    g = squarefree_part_qq(P.dehom(QQ, F))
-    if P.form_ymult(QQ, F) > 0:
-        return tuple(g) + (0,)
-    return tuple(g)
+def squarefree_part_qq(f) -> tuple[int, ...]:
+    """Squarefree part of a nonzero rational polynomial, as a primitive
+    integer tuple."""
+    return _squarefree_qq(f)[0]
 
 
 def small_factors_qq(F) -> tuple[list, list]:
@@ -329,7 +352,7 @@ def small_factors_qq(F) -> tuple[list, list]:
     fq = P.pstrip(QQ, tuple(Fraction(c) for c in F))
     if P.pdeg(fq) < 1:
         return [], []
-    Fs = squarefree_part_qq(fq)
+    Fs, probes = _squarefree_qq(fq)
     n = P.pdeg(Fs)
     linears: list[tuple] = []
     quads: list[tuple] = []
@@ -356,31 +379,17 @@ def small_factors_qq(F) -> tuple[list, list]:
         quads.sort()
         return linears, quads
 
-    # pick a good small prime: lc stays a unit and the reduction stays
-    # squarefree; among a few such primes prefer the smallest product of
+    # among the first three good reductions prefer the smallest product of
     # the factors of degree <= 2, gcd(fbar, x^(p^2) - x), one gcd where
     # distinct_degree(K, fbar, 2) would take two
-    lead = Fs[-1]
     best = None
-    p = 3
-    tried = 0
-    while tried < 3:
-        p = next_prime(p)
-        if lead % p == 0:
-            continue
-        K = PrimeField(p)
-        fbar = tuple(c % p for c in Fs)
-        if P.pdeg(P.pgcd(K, fbar, P.pderiv(K, fbar))) != 0:
-            continue
-        tried += 1
+    for K, fbar in itertools.islice(probes, 3):
         x = P.pmono(K, 1)
-        part = P.pgcd(K, P.psub(K, P.ppow_mod(K, x, p * p, fbar), x), fbar)
+        part = P.pgcd(K, P.psub(K, P.ppow_mod(K, x, K.p * K.p, fbar), x), fbar)
         if best is None or P.pdeg(part) < P.pdeg(best[2]):
             best = (K, fbar, part)
         if P.pdeg(part) == 0:
             break
-    if best is None:
-        raise ArithmeticError("no good prime found")  # practically impossible
     K, fbar, part = best
     rng = random.Random(_CZ_SEED)
     small = [g for d, prod in distinct_degree(K, part) for g in equal_degree(K, prod, d, rng)]
@@ -399,6 +408,7 @@ def small_factors_qq(F) -> tuple[list, list]:
     for (g1, m), (g2, _) in itertools.combinations(lin_lifts, 2):
         candidates.append((P.pmul(IntegersMod(m), g1, g2), m))
 
+    lead = Fs[-1]
     seen = set()
     for g, m in candidates:
         c = tuple(_sym(lead * coef % m, m) for coef in g)
@@ -406,7 +416,7 @@ def small_factors_qq(F) -> tuple[list, list]:
         if c in seen:
             continue
         seen.add(c)
-        if _exact_divides(c, Fs):
+        if _exact_divides(c, Fs) is not None:
             classify(_monic_qq(c))
     linears.sort()
     quads.sort()

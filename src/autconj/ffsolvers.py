@@ -34,11 +34,9 @@ import itertools
 from collections import Counter
 
 from . import poly as P
-from .domains import QQ
 from .factor import (
     factor_ff,
     one_root_ff,
-    roots_ff,
     form_factorization_type,
     form_radical,
     small_factors_qq,
@@ -48,6 +46,8 @@ from .groups import group_structure
 from .projline import (
     Mobius,
     RatMap,
+    _ring,
+    form_rational_roots,
     infinity,
     is_infinity,
     point_key,
@@ -162,7 +162,8 @@ def types_rule_out_conjugacy(phi: RatMap, psi: RatMap):
 
 def _invariant_form(phi: RatMap):
     """Radical form cutting out a conjugation-covariant point set of size
-    >= 3: the fixed points, pulled back through phi until big enough.
+    >= 3: the fixed points, pulled back through phi until big enough; over
+    Q a primitive integer form.
 
     Returns (form, per-stage distinct point counts).
     """
@@ -172,7 +173,7 @@ def _invariant_form(phi: RatMap):
     while P.pdeg(R) < 3:
         if len(counts) > 3:
             raise RuntimeError("invariant set did not reach three points")
-        R = form_radical(K, P.form_compose(K, R, phi.F0, phi.F1))
+        R = form_radical(K, P.form_compose(_ring(K), R, phi.F0, phi.F1))
         counts.append(P.pdeg(R))
     return R, tuple(counts)
 
@@ -292,17 +293,15 @@ def _unity_data(K, d: int):
     """Rational roots and monic irreducible quadratic factors of
     x^(d+i) - 1 for i in {-1, 0, 1}: every possible multiplier of an
     automorphism of a degree-d map at a fixed point is a root of one of
-    the three, so these lists bound the search.
+    the three, so these lists bound the search.  Over Q they are closed
+    form: +-1, and the cyclotomic Phi_n of degree 2 (n = 3, 4, 6) whose n
+    divides d - 1, d or d + 1.
     """
     if K.char == 0:
-        T = [QQ.one, QQ.neg(QQ.one)]
-        quads = []
-        for m in (d - 1, d, d + 1):
-            f = (-1,) + (0,) * (m - 1) + (1,)
-            for g in small_factors_qq(f)[1]:
-                if g not in quads:
-                    quads.append(g)
-        return T, quads
+        cyclotomic = {3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1)}
+        quads = [g for n, g in cyclotomic.items()
+                 if any(m % n == 0 for m in (d - 1, d, d + 1))]
+        return [K.one, K.neg(K.one)], quads
     T = set()
     quads = []
     for m in (d - 1, d, d + 1):
@@ -334,70 +333,29 @@ def _roots_and_quads(K, F):
 
 def _quad_pair_candidates(phi: RatMap, b, c, xi_quads):
     """Automorphism candidates whose fixed points are the conjugate roots
-    z1, z2 of the irreducible x^2 + bx + c.
+    of the irreducible z^2 + bz + c.
 
-    Such an element is u^-1 diag(xi, 1) u for u = (z -> (z-z1)/(z-z2)),
-    which works out to the matrix
-
-        [ z1 - xi z2   (xi - 1) z1 z2 ]
-        [   1 - xi      xi z1 - z2    ]
-
-    It descends to the ground field exactly when N(xi) = 1; xi = -1
-    always does (giving an involution), the rest are roots of the listed
-    quadratics and the descent is checked by retraction.
+    Up to scaling such an element is s = [[x, -c], [1, x + b]] with x in
+    K, and its multiplier xi at a fixed point satisfies
+    tr^2/det = xi + 1/xi + 2.  Galois swaps the fixed points, whose
+    multipliers are xi and 1/xi, so xi has norm 1: xi = -1, the involution
+    x = -b/2, or a root of a listed quadratic xi^2 + C1 xi + C0 with
+    C0 = 1.  With t = xi + 1/xi = -C1, x runs over the K-rational roots of
+    (2 - t)(x^2 + bx) + b^2 - (t + 2)c.
     """
     K = phi.K
+    two = K.add(K.one, K.one)
     cands = []
     if K.char != 2:
-        two = K.add(K.one, K.one)
         cands.append(Mobius(K, K.neg(b), K.neg(K.mul(two, c)), two, b))
-    if K.char == 0:
-        # xi = xi0 + xi1*z1 in Q(z1); entries stay linear in z1 and
-        # rationality is pairwise proportionality of the coefficient pairs
-        Dz = b * b - 4 * c
-        for C0, C1, _ in xi_quads:
-            Dxi = C1 * C1 - 4 * C0
-            if not QQ.is_square(Dxi / Dz):
-                continue
-            w = QQ.sqrt(Dxi / Dz)
-            for eps in (1, -1):
-                xi1 = eps * w
-                xi0 = (-C1 + eps * w * b) / 2
-                # each entry written as (constant, z1-coefficient)
-                vec = (
-                    (xi0 * b - xi1 * c, 1 + xi0),
-                    ((xi0 - 1) * c, xi1 * c),
-                    (1 - xi0, -xi1),
-                    (b - xi1 * c, xi0 + 1 - xi1 * b),
-                )
-                piv = next((u for u in vec if u != (0, 0)), None)
-                if piv is None or any(u[0] * piv[1] != u[1] * piv[0] for u in vec):
-                    continue
-                if piv[0]:
-                    coords = [u[0] / piv[0] for u in vec]
-                else:
-                    coords = [u[1] / piv[1] for u in vec]
-                cands.append(Mobius(QQ, *coords))
-    else:
-        E = ExtensionField(K, (c, b, K.one))
-        z1 = E.gen
-        z2 = E.sub(E.neg(E.embed(b)), z1)
-        cE = E.embed(c)
-        for m in xi_quads:
-            me = tuple(E.embed(t) for t in m)
-            for xi, _ in roots_ff(E, me):
-                vec = (
-                    E.sub(z1, E.mul(xi, z2)),
-                    E.mul(E.sub(xi, E.one), cE),
-                    E.sub(E.one, xi),
-                    E.sub(E.mul(xi, z1), z2),
-                )
-                piv = next(v for v in vec if v != E.zero)
-                piv_inv = E.inv(piv)
-                coords = [E.retract(E.mul(v, piv_inv)) for v in vec]
-                if any(t is None for t in coords):
-                    continue
-                cands.append(Mobius(K, *coords))
+    for C0, C1, _ in xi_quads:
+        if C0 != K.one:
+            continue
+        t = K.neg(C1)
+        u = K.sub(two, t)
+        form = (K.sub(K.mul(b, b), K.mul(K.add(t, two), c)), K.mul(u, b), u)
+        for x, _ in form_rational_roots(K, form):
+            cands.append(Mobius(K, x, K.neg(c), K.one, K.add(x, b)))
     return cands
 
 

@@ -13,7 +13,7 @@ Only canonical representatives exist, so == and hash are structural.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .ntheory import is_prime
 from . import poly as P
@@ -72,7 +72,6 @@ class PrimeField(IntegersMod):
             raise ValueError("%d is not prime" % p)
         super().__init__(p)
         self.p = p
-        self._nonsquare: Optional[int] = None
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
@@ -82,48 +81,11 @@ class PrimeField(IntegersMod):
             return pow(self.inv(a), -n, self.p)
         return pow(a, n, self.p)
 
-    def frobenius(self, a):
-        return a % self.p
-
     def is_square(self, a) -> bool:
         a %= self.p
         if a == 0 or self.p == 2:
             return True
         return pow(a, (self.p - 1) // 2, self.p) == 1
-
-    def _smallest_nonsquare(self) -> int:
-        if self._nonsquare is None:
-            c = 2
-            while self.is_square(c):
-                c += 1
-            self._nonsquare = c
-        return self._nonsquare
-
-    def sqrt(self, a):
-        """Square root, canonicalized to min(r, p - r).  Tonelli-Shanks."""
-        p = self.p
-        a %= p
-        if a == 0 or p == 2:
-            return a
-        if not self.is_square(a):
-            raise ValueError("%d is not a square in GF(%d)" % (a, p))
-        if p % 4 == 3:
-            r = pow(a, (p + 1) // 4, p)
-        else:
-            q, s = p - 1, 0
-            while q % 2 == 0:
-                q //= 2
-                s += 1
-            z = self._smallest_nonsquare()
-            m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-            while t != 1:
-                i, tt = 0, t
-                while tt != 1:
-                    tt = tt * tt % p
-                    i += 1
-                b = pow(c, 1 << (m - i - 1), p)
-                m, c, t, r = i, b * b % p, t * b % p * b % p, r * b % p
-        return min(r, p - r)
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.p))
@@ -250,48 +212,6 @@ class ExtensionField:
         """The q-power map, q = |base|; fixes exactly the base field."""
         return self.pow(a, self.base.order)
 
-    def is_square(self, a) -> bool:
-        if a == self.zero:
-            return True
-        if self.char == 2:
-            return True
-        return self.pow(a, (self.order - 1) // 2) == self.one
-
-    def sqrt(self, a):
-        if a == self.zero:
-            return a
-        if self.char == 2:
-            # squaring is a bijection in characteristic 2
-            return self.pow(a, self.order // 2)
-        if not self.is_square(a):
-            raise ValueError("element is not a square")
-        q = self.order
-        if q % 4 == 3:
-            r = self.pow(a, (q + 1) // 4)
-        else:
-            # generic Tonelli-Shanks with a scanned non-square
-            z = None
-            for e in self.elements():
-                if e != self.zero and not self.is_square(e):
-                    z = e
-                    break
-            qq, s = q - 1, 0
-            while qq % 2 == 0:
-                qq //= 2
-                s += 1
-            m, c = s, self.pow(z, qq)
-            t, r = self.pow(a, qq), self.pow(a, (qq + 1) // 2)
-            while t != self.one:
-                i, tt = 0, t
-                while tt != self.one:
-                    tt = self.mul(tt, tt)
-                    i += 1
-                b = self.pow(c, 1 << (m - i - 1))
-                m, c = i, self.mul(b, b)
-                t, r = self.mul(t, self.mul(b, b)), self.mul(r, b)
-        other = self.neg(r)
-        return min(r, other, key=self.sort_key)
-
     def elements(self) -> Iterator[tuple]:
         base_elems = list(self.base.elements())
         for coeffs in itertools.product(base_elems, repeat=self.k):
@@ -352,7 +272,7 @@ def GF(p: int, k: int = 1):
     if k == 2:
         if p == 2:
             return ExtensionField(base, (1, 1, 1))
-        c = base._smallest_nonsquare()
+        c = next(c for c in range(2, p) if not base.is_square(c))
         return ExtensionField(base, ((-c) % p, 0, 1))
     for tail in itertools.product(range(p), repeat=k):
         f = tuple(tail) + (1,)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import poly as P
 from .domains import QQ, ZZ
 from .exact import canonical_proj, proj_height
-from .factor import roots_ff, small_factors_qq
+from .factor import _exact_divides, roots_ff, small_factors_qq
 from .finitefield import PrimeField
 
 
@@ -122,11 +122,6 @@ class Mobius:
         K = self.K
         a, b, c, d = self.t
         return b == K.zero and c == K.zero and a == d
-
-    def det(self):
-        K = self.K
-        a, b, c, d = self.t
-        return K.sub(K.mul(a, d), K.mul(b, c))
 
     def apply(self, pt):
         K = self.K
@@ -293,13 +288,17 @@ class RatMap:
         """The degree d^2 - d form whose roots are the points of period 2.
 
         phi o phi enters only through its forms G0, G1: a composite of
-        morphisms is coprime, so it needs no RatMap and no gcd check.
+        morphisms is coprime, so it needs no RatMap and no gcd check.  Over
+        Q the divisor is the primitive fixed point form, so by Gauss's
+        lemma the quotient is an integer form.
         """
         R = _ring(self.K)
         g0 = P.form_compose(R, self.F0, self.F0, self.F1)
         g1 = P.form_compose(R, self.F1, self.F0, self.F1)
-        return _form_divexact(self.K, _fixed_point_form(R, g0, g1),
-                              self.fixed_point_form())
+        fix = self.fixed_point_form()
+        if R is ZZ:
+            fix = P.primitive(fix)
+        return _form_divexact(R, _fixed_point_form(R, g0, g1), fix)
 
     def preimage_form(self, pt) -> tuple:
         """x1*F0 - x0*F1; vanishes exactly on the preimages of pt."""
@@ -391,15 +390,20 @@ def _fixed_point_form(K, F0, F1) -> tuple:
 
 
 def _form_divexact(K, F, G) -> tuple:
-    """Quotient of homogeneous forms, demanding exact division."""
+    """Quotient of homogeneous forms, demanding exact division; over ZZ,
+    G must be primitive and the division runs in integers."""
     fa = P.pstrip(K, F)
     ga = P.pstrip(K, G)
     ymf = len(F) - len(fa)
     ymg = len(G) - len(ga)
     if ymf < ymg:
         raise ValueError("no exact form quotient")
-    q, r = P.pdivmod(K, fa, ga)
-    if r:
+    if K.is_field:
+        q, r = P.pdivmod(K, fa, ga)
+        q = None if r else q
+    else:
+        q = _exact_divides(ga, fa)
+    if q is None:
         raise ValueError("no exact form quotient")
     dq = len(F) - len(G)
     return tuple(q) + (K.zero,) * (dq + 1 - len(q))

@@ -32,13 +32,12 @@ from __future__ import annotations
 import itertools
 import math
 
-from .domains import QQ, ZZ
+from .domains import QQ
 from .exact import crt_combine, l2_norm_sq, shortest_congruent_lift
-from .factor import form_radical_qq
-from .ffsolvers import _aut_ff_elements, _sorted_mobius, aut_fixed_points, conj_ff
+from .ffsolvers import (_aut_ff_elements, _invariant_form, _sorted_mobius,
+                        aut_fixed_points, conj_ff)
 from .groups import closure, group_structure
 from .ntheory import divisors, next_prime
-from . import poly as P
 from .projline import Mobius, RatMap, is_automorphism, is_conjugating
 from .results import AutResult, ConjResult
 
@@ -52,24 +51,13 @@ ORDER_CLASSES = (0, 1, 2, 3)
 FIXED_POINT_DEGREE_LIMIT = 12
 
 
-def invariant_int_form(phi: RatMap) -> tuple[int, ...]:
-    """Primitive integer radical form cutting out the invariant point set
-    (fixed points, pulled back through phi until at least three points)."""
-    R = form_radical_qq(phi.fixed_point_form())
-    stages = 0
-    while P.pdeg(R) < 3:
-        stages += 1
-        if stages > 3:
-            raise RuntimeError("invariant set did not reach three points")
-        R = form_radical_qq(P.form_compose(ZZ, R, phi.F0, phi.F1))
-    return R
-
-
 def conjugacy_height_bound(phi: RatMap, psi: RatMap | None = None) -> int:
-    """ceil(6 * |f_T(phi)|_2^3 * |f_T(psi)|_2^3): every rational
+    """ceil(6 * |f_T(phi)|_2^3 * |f_T(psi)|_2^3), f_T the primitive integer
+    form cutting out the invariant point set (fixed points, pulled back
+    through the map until at least three points): every rational
     conjugation between the maps has height at most this."""
-    a = l2_norm_sq(invariant_int_form(phi))
-    b = a if psi is None or psi is phi else l2_norm_sq(invariant_int_form(psi))
+    a = l2_norm_sq(_invariant_form(phi)[0])
+    b = a if psi is None or psi is phi else l2_norm_sq(_invariant_form(psi)[0])
     t = 36 * a**3 * b**3
     s = math.isqrt(t)
     return s if s * s == t else s + 1

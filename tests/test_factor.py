@@ -11,7 +11,6 @@ from autconj.factor import (
     factorization_type,
     form_factorization_type,
     form_radical,
-    form_radical_qq,
     one_root_ff,
     roots_ff,
     small_factors_qq,
@@ -239,14 +238,18 @@ def test_exact_divides_matches_rational_division():
         g = rand_int_poly(rng.randrange(1, 4), 9)
         h = rand_int_poly(rng.randrange(0, 6), 20)
         F = tuple(P.pmul(QQ, g, h))
-        assert _exact_divides(g, F) and oracle(g, F)
+        assert _exact_divides(g, F) == P.pstrip(QQ, h) and oracle(g, F)
         for c in (rand_int_poly(rng.randrange(1, 4), 9), P.primitive(P.padd(QQ, g, (1,)))):
-            assert _exact_divides(c, F) == oracle(c, F), (c, F)
+            q = _exact_divides(c, F)
+            assert (q is not None) == oracle(c, F), (c, F)
+            if q is not None:
+                assert all(type(x) is int for x in q)
+                assert P.pmul(QQ, c, q) == P.pstrip(QQ, F)
         # the lifted factors small_factors_qq tries divide its own input
         for lin in small_factors_qq(F)[0]:
             den = lin[0].denominator
             c = P.primitive((int(lin[0] * den), den))
-            assert _exact_divides(c, F) and oracle(c, F)
+            assert _exact_divides(c, F) is not None and oracle(c, F)
 
 
 def test_form_rational_roots_over_q():
@@ -304,8 +307,11 @@ def test_squarefree_part_qq():
 
 
 def test_form_radical_qq():
-    assert form_radical_qq((0, 1, -1, 0)) == (0, 1, -1, 0)
+    # over Q the radical is a primitive integer form
+    rad = form_radical(QQ, (0, 2, -2, 0))
+    assert rad == (0, 1, -1, 0) and all(type(x) is int for x in rad)
     # (XY)^2 -> XY up to sign
     sq = (0, 0, 1, 0, 0)
-    rad = form_radical_qq(sq)
+    rad = form_radical(QQ, sq)
     assert rad in ((0, 1, 0), (0, -1, 0))
+    assert form_radical(QQ, (Fraction(1, 2), 0, Fraction(-1, 2), 0)) == (1, 0, -1, 0)

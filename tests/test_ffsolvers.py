@@ -471,9 +471,11 @@ def test_aut_over_quadratic_extension():
 def test_extension_random_agreement():
     # over extension fields the char-p loop tries one translation per
     # F_p-line of the field: z^p, whose Aut is PGL2(F_p), its twists by
-    # elements of PGL2(F_q), and seeded random maps
+    # elements of PGL2(F_q), and seeded random maps; over the prime fields
+    # F_5 and F_7 the twists of z^p have the non-split torus elements of
+    # PGL2(F_p), whose fixed points are a conjugate quadratic pair
     rng = random.Random(65)
-    for K in (GF(2, 2), GF(2, 3), GF(3, 2), GF(2, 4), GF(5, 2)):
+    for K in (GF(5), GF(7), GF(2, 2), GF(2, 3), GF(3, 2), GF(2, 4), GF(5, 2)):
         p = K.char
         zp = _zmap(K, (K.zero,) * p + (K.one,), (K.one,))
         maps = [zp]

@@ -225,6 +225,7 @@ def test_dynatomic_2_matches_composition_over_q():
     for phi in maps:
         dyn = phi.dynatomic_2()
         assert any(dyn)
+        assert all(type(c) is int for c in dyn)
         assert _proportional(dyn, _dynatomic_2_over_q(phi))
 
 

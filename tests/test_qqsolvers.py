@@ -6,8 +6,7 @@ from fractions import Fraction
 
 from autconj.cli import parse_map
 from autconj.domains import QQ
-from autconj.exact import l2_norm_sq
-from autconj.ffsolvers import aut_ff, aut_fixed_points
+from autconj.ffsolvers import _invariant_form, aut_ff, aut_fixed_points
 from autconj.groups import is_closed
 from autconj.projline import Mobius, RatMap, conjugate_map, is_automorphism, is_conjugating, random_map_qq
 from autconj.qqsolvers import (
@@ -17,7 +16,6 @@ from autconj.qqsolvers import (
     aut_qq,
     conj_qq,
     conjugacy_height_bound,
-    invariant_int_form,
 )
 
 
@@ -50,11 +48,16 @@ MINUS_SET = _tset((1, 0, 0, 1), (-1, 0, 0, 1))
 
 
 def test_invariant_int_form():
-    f = invariant_int_form(Z2)
+    # over Q the invariant set form is a primitive integer form
+    f, counts = _invariant_form(Z2)
     # the fixed points 0, 1, infinity give XY(X - Y) up to sign
-    assert l2_norm_sq(f) == 3 or l2_norm_sq(f) == 2
-    f2 = invariant_int_form(_zmap((0, 0, 1), (1,)))
-    assert f2 == f
+    assert counts == (3,)
+    assert f in ((0, 1, -1, 0), (0, -1, 1, 0)) and all(type(c) is int for c in f)
+    assert _invariant_form(_zmap((0, 0, 1), (1,)))[0] == f
+    # z^2 + 1/4 has two fixed points, 1/2 (twice) and infinity, so the
+    # set is pulled back once
+    g, counts = _invariant_form(_zmap((1, 0, 4), (4,)))
+    assert counts[0] == 2 and counts[-1] >= 3 and all(type(c) is int for c in g)
 
 
 def test_height_bound_small_maps():
