@@ -16,40 +16,43 @@ Three engines, in increasing sophistication:
     has its own fixed points constrained to sit among the fixed points,
     2-periodic points and first preimages of the map, which cuts the
     search to a handful of explicitly constructible candidates.  Its
-    char-p loop covers the unipotent elements (order p, the
+    char-p step covers the unipotent elements (order p, the
     characteristic) the diagonalizable analysis cannot see: such an
-    element fixes a single point, a rational fixed point of the map, and
-    is a translation there.
+    element fixes a single point, a rational fixed point of the map,
+    where it is a translation z + lam; the admissible lam are the roots
+    of one gcd of polynomials in lam.
 
 Everything returns exact results; every candidate is confirmed with the
 exact conjugation identity before it is reported.
 
 aut_fixed_points is field-generic on purpose: the rational solvers reuse
-it over Q, where the char-p loop simply never runs.
+it over Q, where the char-p step simply never runs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 from . import poly as P
 from .factor import (
     factor_ff,
     one_root_ff,
+    roots_ff,
     form_factorization_type,
     form_radical,
     small_factors_qq,
 )
-from .finitefield import PrimeField, ExtensionField
+from .finitefield import ExtensionField
 from .groups import group_structure
 from .projline import (
     Mobius,
     RatMap,
     _ring,
+    conjugate_map,
     form_rational_roots,
     infinity,
-    is_infinity,
     point_key,
     mat_mul,
     mobius_from_three_points,
@@ -359,6 +362,26 @@ def _quad_pair_candidates(phi: RatMap, b, c, xi_quads):
     return cands
 
 
+def _translations(psi: RatMap) -> list:
+    """The nonzero lam in K for which z + lam commutes with psi = A/B, a
+    map fixing infinity.  Translation keeps the leading coefficient of B,
+    so that holds iff B(z + lam) = B(z) and A(z + lam) = A(z) + lam B(z):
+    lam is a common root of the z^j coefficients of both differences,
+    polynomials in lam (sum over k > j of f_k C(k, j) lam^(k - j), less
+    lam b_j for A), hence a root of their gcd."""
+    K = psi.K
+    A, B = P.dehom(K, psi.F0), P.dehom(K, psi.F1)
+    g = ()
+    for f, h in ((B, ()), (A, B)):
+        for j in range(len(f)):
+            e = [K.zero] + [K.mul(K.from_int(math.comb(k, j)), f[k])
+                            for k in range(j + 1, len(f))]
+            if j < len(h):  # then j + 1 < len(f), as deg B < deg A
+                e[1] = K.sub(e[1], h[j])
+            g = P.pgcd(K, g, P.pstrip(K, e))
+    return [lam for lam, _ in roots_ff(K, g) if lam != K.zero]
+
+
 def aut_fixed_points(phi: RatMap) -> list:
     """Aut_phi over the ground field by the fixed-point analysis.
 
@@ -368,10 +391,9 @@ def aut_fixed_points(phi: RatMap) -> list:
     first preimages of fixed points of phi; conjugate quadratic pairs
     come from quadratic factors of the same data.  An s with a single
     fixed point x is unipotent of order p = char K: x is a rational fixed
-    point of phi, and moving x to infinity makes s a translation z + lam.
-    Its powers are the translations by the F_p-multiples of lam, so the
-    char-p loop tries one lam per class of K^* modulo F_p^* at each
-    rational fixed point, which finds every order-p automorphism.
+    point of phi, and moving x to infinity makes s a translation z + lam;
+    the admissible lam are the roots of one gcd of polynomials in lam (see
+    _translations), found without a walk over K.
     """
     K = phi.K
     d = phi.d
@@ -383,28 +405,20 @@ def aut_fixed_points(phi: RatMap) -> list:
     T, xi_quads = _unity_data(K, d)
     zetas = [z for z in T if z != K.one]
 
-    # rational pairs {x, y} that phi can permute
-    pairs = []
-    seen = set()
-
-    def push(x, y):
-        key = frozenset((x, y))
-        if key not in seen:
-            seen.add(key)
-            pairs.append((x, y))
-
+    # rational pairs {x, y} that phi can permute, each taken once
+    pairs = {}
     for x, y in itertools.combinations(Z11, 2):
-        push(x, y)
+        pairs.setdefault(frozenset((x, y)), (x, y))
     for x in dyn_roots:
         y = phi.apply(x)
         if y != x:
-            push(x, y)
+            pairs.setdefault(frozenset((x, y)), (x, y))
     for x in Z11:
         for y in phi.rational_preimages(x):
             if y != x:
-                push(x, y)
+                pairs.setdefault(frozenset((x, y)), (x, y))
 
-    for x, y in pairs:
+    for x, y in pairs.values():
         u = (y[1], K.neg(y[0]), x[1], K.neg(x[0]))
         uinv = (K.neg(x[0]), y[0], K.neg(x[1]), y[1])
         for zeta in zetas:
@@ -427,35 +441,16 @@ def aut_fixed_points(phi: RatMap) -> list:
             if s not in out and is_automorphism(s, phi):
                 out.add(s)
 
-    # unipotent elements in characteristic p
-    p = K.char
-    if p and (d**3 - d) % p == 0:
-        if isinstance(K, PrimeField):
-            reps = [K.one]
-        else:
-            prime_sub = [K.from_int(i) for i in range(1, p)]
-            covered = set()
-            reps = []
-            for e in K.elements():
-                if e == K.zero or e in covered:
-                    continue
-                reps.append(e)
-                covered.update(K.mul(e, t) for t in prime_sub)
-        ident = (K.one, K.zero, K.zero, K.one)
+    # unipotents: u = [[1 - x1, x1], [x1, -x0]] sends x to infinity
+    if K.char and (d**3 - d) % K.char == 0:
         for x in Z11:
-            if is_infinity(K, x):
-                u = uinv = ident
-            else:
-                u = (K.zero, K.one, K.one, K.neg(x[0]))
-                uinv = (K.neg(x[0]), K.neg(K.one), K.neg(K.one), K.zero)
-            for lam in reps:
-                smat = mat_mul(K, mat_mul(K, uinv, (K.one, lam, K.zero, K.one)), u)
-                s = Mobius(K, *smat)
+            u = (K.sub(K.one, x[1]), x[1], x[1], K.neg(x[0]))
+            uinv = (K.neg(x[0]), K.neg(x[1]), K.neg(x[1]), u[0])
+            for lam in _translations(conjugate_map(phi, Mobius(K, *u))):
+                t = mat_mul(K, (K.one, lam, K.zero, K.one), u)
+                s = Mobius(K, *mat_mul(K, uinv, t))
                 if is_automorphism(s, phi):
-                    t = s
-                    for _ in range(p - 1):
-                        out.add(t)
-                        t = t.compose(s)
+                    out.add(s)
     return _sorted_mobius(out)
 
 
@@ -464,8 +459,7 @@ def aut_fixed_points(phi: RatMap) -> list:
 
 def _aut_ff_elements(phi: RatMap, algorithm: str = "auto"):
     """(elements of Aut_phi, engine after dispatch) over a finite field,
-    without the group label, whose closure check costs |Aut|^2
-    compositions."""
+    without the group label."""
     K = phi.K
     q = K.order
     if q is None:

@@ -15,16 +15,38 @@ from __future__ import annotations
 
 from collections import Counter
 
+from .projline import Mobius
+
 CLOSURE_CAP = 200000
+
+
+def _span(gens, pool, cap):
+    """The subgroup generated by gens, walked breadth first from the
+    identity by multiplying each new element by each generator; None as
+    soon as a new element falls outside pool (unless pool is None)."""
+    seen, frontier = set(), {Mobius.identity(gens[0].K)}
+    while frontier:
+        if pool is not None and not frontier <= pool:
+            return None
+        seen |= frontier
+        if len(seen) > cap:
+            raise RuntimeError("closure exceeded %d elements" % cap)
+        frontier = {a.compose(g) for a in frontier for g in gens} - seen
+    return seen
 
 
 def is_closed(elements) -> bool:
     """Whether the list is closed under composition (and hence a group,
-    being a finite set of invertible elements)."""
+    being a finite set of invertible elements): generators are picked
+    greedily, each outside the span of those before it, and the list is a
+    group iff no span leaves it, as the last span holds every element."""
     pool = set(elements)
-    for a in elements:
-        for b in elements:
-            if a.compose(b) not in pool:
+    gens, span = [], set()
+    for s in elements:
+        if s not in span and not s.is_identity():
+            gens.append(s)
+            span = _span(gens, pool, len(pool))
+            if span is None:
                 return False
     return True
 
@@ -33,24 +55,7 @@ def closure(elements, cap: int = CLOSURE_CAP):
     """The subgroup generated by the given elements, as a sorted list."""
     if not elements:
         raise ValueError("need at least one generator")
-    K = elements[0].K
-    from .projline import Mobius
-
-    seen = {Mobius.identity(K)}
-    frontier = [s for s in elements if s not in seen]
-    seen.update(frontier)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(seen):
-                for c in (a.compose(b), b.compose(a)):
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-        if len(seen) > cap:
-            raise RuntimeError("closure exceeded %d elements" % cap)
-        frontier = nxt
-    return sorted(seen, key=lambda s: s.sort_key())
+    return sorted(_span(elements, None, cap), key=lambda s: s.sort_key())
 
 
 def group_structure(elements) -> str:

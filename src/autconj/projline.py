@@ -44,10 +44,6 @@ def infinity(K):
     return (K.one, K.zero)
 
 
-def is_infinity(K, pt) -> bool:
-    return pt[1] == K.zero
-
-
 def point_key(K, pt):
     """Sort key putting affine points first (by coordinate), infinity last."""
     if pt[1] == K.zero:

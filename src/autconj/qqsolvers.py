@@ -1,11 +1,13 @@
 """Aut and Conj solvers over Q.
 
 For Aut at moderate degree the field-generic fixed point engine runs
-unchanged over Q (the char-p loop is vacuous and the multiplier lists
+unchanged over Q (the char-p step is vacuous and the multiplier lists
 collapse to -1 and the quadratic cyclotomics).
 
 The CRT engine handles everything else: reduce both maps at good primes
-p >= 5, compute the finite fiber mod p with the finite-field dispatch of
+p >= 5 not dividing d (a wild prime p | d can leave all of PGL2(F_p) in
+the fiber, and any set of good primes certifies the answer), compute
+the finite fiber mod p with the finite-field dispatch of
 aut_ff and conj_ff (the pinned exhaustive scan up to p = 97, invariant
 sets above), CRT all combinations of residue vectors together, lift each
 to the short integer vectors of its congruence lattice, and verify
@@ -153,7 +155,7 @@ def _order_bound(fibers, counts, g_order: int) -> int:
 
 def _aut_crt(phi: RatMap) -> AutResult:
     M = conjugacy_height_bound(phi)
-    stream = _good_primes([phi])
+    stream = (p for p in _good_primes([phi]) if phi.d % p)
     fibers = []
     counts = []
     found = {Mobius.identity(QQ)}
@@ -200,7 +202,7 @@ def _conj_crt(phi: RatMap, psi: RatMap) -> ConjResult:
     if phi.d != psi.d:
         return ConjResult((), "crt", "degree mismatch")
     M = conjugacy_height_bound(phi, psi)
-    stream = _good_primes([phi, psi])
+    stream = (p for p in _good_primes([phi, psi]) if phi.d % p)
     fibers = []
     class_fibers = []
     rejected = set()

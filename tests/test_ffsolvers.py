@@ -469,11 +469,11 @@ def test_aut_over_quadratic_extension():
 
 
 def test_extension_random_agreement():
-    # over extension fields the char-p loop tries one translation per
-    # F_p-line of the field: z^p, whose Aut is PGL2(F_p), its twists by
-    # elements of PGL2(F_q), and seeded random maps; over the prime fields
-    # F_5 and F_7 the twists of z^p have the non-split torus elements of
-    # PGL2(F_p), whose fixed points are a conjugate quadratic pair
+    # the char-p step reads the translations at each rational fixed point
+    # off the roots of one gcd in lam: z^p, whose Aut is PGL2(F_p), its
+    # twists by elements of PGL2(F_q), and seeded random maps; over the
+    # prime fields F_5 and F_7 the twists of z^p have the non-split torus
+    # elements of PGL2(F_p), whose fixed points are a conjugate quadratic pair
     rng = random.Random(65)
     for K in (GF(5), GF(7), GF(2, 2), GF(2, 3), GF(3, 2), GF(2, 4), GF(5, 2)):
         p = K.char
@@ -491,6 +491,40 @@ def test_extension_random_agreement():
             fp = {m.t for m in aut_fixed_points(phi)}
             assert fp == ex, (K.order, phi.F0, phi.F1)
         assert len(aut_fixed_points(zp)) == p * (p * p - 1)
+
+
+def test_fixed_points_translation_groups_beyond_f_p():
+    # z^4 over F_4 commutes with all of PGL2(F_4), whose 15 involutions
+    # are translations by F_4 at each of its 5 rational fixed points; the
+    # additive z^4 + z^2 commutes with z + lam for the four roots of
+    # lam^4 + lam^2 + lam, a Klein four group that is no subfield
+    K4 = GF(2, 2)
+    z4 = _zmap(K4, (K4.zero,) * 4 + (K4.one,), (K4.one,))
+    els = aut_fixed_points(z4)
+    assert {m.t for m in els} == {m.t for m in aut_exhaustive(z4)}
+    assert sum(1 for m in els if m.order() == 2) == 15
+    for K in (GF(2, 3), GF(2, 6)):
+        phi = _zmap(K, (K.zero, K.zero, K.one, K.zero, K.one), (K.one,))
+        els = aut_fixed_points(phi)
+        assert {m.t for m in els} == {m.t for m in aut_exhaustive(phi)}
+        assert sum(1 for m in els if m.t[2] == K.zero and m.t[0] == m.t[3]) == 4
+    # over F_{2^10} the exhaustive scan is out of reach: compare with the
+    # invariant-set engine on z^2, a twist of it, and seeded maps with a
+    # rational fixed point
+    K = GF(2, 10)
+    z2 = _zmap(K, (K.zero, K.zero, K.one), (K.one,))
+    maps = [z2, conjugate_map(z2, Mobius(K, K.one, K.gen, K.one, K.zero))]
+    rng = random.Random(67)
+    while len(maps) < 4:
+        phi = random_map_ff(K, 2, rng)
+        fix = phi.fixed_point_form()
+        if fix[-1] == K.zero or roots_ff(K, dehom(K, fix)):
+            maps.append(phi)
+    for phi in maps:
+        _, inv, _ = conj_invariant_sets(phi, phi)
+        els = aut_fixed_points(phi)
+        assert {m.t for m in els} == {m.t for m in inv}
+        assert len(els) == (6 if phi in maps[:2] else 1)
 
 
 def test_conj_different_fields_rejected():

@@ -1,5 +1,7 @@
 """Closure and isomorphism-type classification of finite Mobius groups."""
 
+import random
+
 from autconj.domains import QQ
 from autconj.finitefield import GF
 from autconj.groups import closure, group_structure, is_closed
@@ -118,3 +120,33 @@ def test_cyclic_c6():
     els = closure([r6])
     assert len(els) == 6
     assert group_structure(els) == "C6"
+
+
+def _closed_pairwise(elements):
+    """The definition: every product of two listed elements is listed."""
+    pool = set(elements)
+    return all(a.compose(b) in pool for a in elements for b in elements)
+
+
+def test_is_closed_matches_pairwise_definition():
+    # subgroups of PGL2(F_5) and PGL2(F_7) from seeded random generators,
+    # each also with one element (the identity among them) removed and
+    # with one element added
+    rng = random.Random(71)
+    for p in (5, 7):
+        K = GF(p)
+        full = closure([_m(K, 1, 1, 0, 1), _m(K, 0, 1, 1, 0), _m(K, 2, 0, 0, 1)])
+        assert len(full) == p * (p * p - 1)
+        for n_gens in (1, 1, 2, 2, 3):
+            while True:
+                gens = [rng.choice(full) for _ in range(n_gens)]
+                group = closure(gens)
+                if len(group) < len(full):
+                    break
+            rng.shuffle(group)
+            outside = rng.choice([s for s in full if s not in set(group)])
+            variants = [group, group[:-1], group[1:], group + [outside],
+                        [outside] + group, [s for s in group if not s.is_identity()]]
+            for els in variants:
+                assert is_closed(els) == _closed_pairwise(els), (p, len(els))
+            assert is_closed(group) and not is_closed(group + [outside])
