@@ -3,15 +3,17 @@
 Three engines, in increasing sophistication:
 
   * a scan of PGL2(F_q) pinned by forward orbits: each candidate is fixed
-    by the image of one point, then checked at every rational point,
-    exact; viable while q(q^2 - 1) stays small;
+    by the image of one point, then checked pointwise through one table
+    of inverses per call, where agreement at 2d + 1 points is a proof when
+    q + 1 > 2d; viable while q(q^2 - 1) stays small;
   * the invariant-set method: both maps carry a small canonical point set
     (fixed points, pulled back through the map until it has at least three
     elements), and any conjugation must carry one set onto the other and
     each Frobenius orbit of it onto an orbit of the same degree, so a
     source triple taken from the smallest orbits and its possible images
-    enumerate every candidate over the stem field of one orbit, whose
-    roots are the Frobenius images of its generator;
+    over the stem field of one orbit, whose roots are the Frobenius images
+    of its generator, pin every candidate: the rational one, if any, is the
+    null line of one linear system over F_q per image triple;
   * the fixed-point method for Aut only: an automorphism of finite order
     has its own fixed points constrained to sit among the fixed points,
     2-periodic points and first preimages of the map, which cuts the
@@ -22,8 +24,9 @@ Three engines, in increasing sophistication:
     where it is a translation z + lam; the admissible lam are the roots
     of one gcd of polynomials in lam.
 
-Everything returns exact results; every candidate is confirmed with the
-exact conjugation identity before it is reported.
+Everything returns exact results: every reported element satisfies the
+conjugation identity, checked by cross multiplication of the forms or, in
+the scan, proved by agreement at more points than their degree.
 
 aut_fixed_points is field-generic on purpose: the rational solvers reuse
 it over Q, where the char-p step simply never runs.
@@ -75,11 +78,47 @@ def _sorted_mobius(elements):
 # ---------------------------------------------------------------------------
 # exhaustive search
 
-def _orbit_table(m: RatMap, pts):
+def _inverses(K) -> dict:
+    """{a: 1/a} over the units of the finite field K by batch inversion:
+    prefix products, one inverse of the full product, and a walk back."""
+    units = [a for a in K.elements() if a != K.zero]
+    prefix = [K.one]
+    for a in units[:-1]:
+        prefix.append(K.mul(prefix[-1], a))
+    u = K.inv(K.mul(prefix[-1], units[-1]))
+    inv = {}
+    for a, before in zip(reversed(units), reversed(prefix)):
+        inv[a] = K.mul(u, before)
+        u = K.mul(u, a)
+    return inv
+
+
+def _point_map(K, F0, F1, inv):
+    """The map (F0 : F1) on rational points: both forms evaluated by Horner
+    on their dehomogenization, the image normalized through inv = {a: 1/a}."""
+    add, mul, zero, one = K.add, K.mul, K.zero, K.one
+    inf = infinity(K)
+    top, *rest = zip(reversed(F0), reversed(F1))
+
+    def image(x):
+        y0, y1 = top  # the values at infinity
+        if x[1] != zero:
+            t = x[0]
+            for c0, c1 in rest:
+                y0 = add(mul(y0, t), c0)
+                y1 = add(mul(y1, t), c1)
+        return inf if y1 == zero else (mul(y0, inv[y1]), one)
+
+    return image
+
+
+def _orbit_table(m: RatMap, pts, inv=None):
     """m on the rational points pts, and for each point x its head (x,
     m(x), m(m(x)) cut at the first repeat) and the head's signature: the
-    number of rational preimages of each of its points."""
-    img = {x: m.apply(x) for x in pts}
+    number of rational preimages of each of its points.  inv = {a: 1/a}
+    is built here when not given."""
+    image = _point_map(m.K, m.F0, m.F1, _inverses(m.K) if inv is None else inv)
+    img = {x: image(x) for x in pts}
     indeg = Counter(img.values())
     heads = {}
     for x in pts:
@@ -96,7 +135,14 @@ def conj_exhaustive(phi: RatMap, psi: RatMap) -> list:
     onto the head of s(x), whose signature is the same; so a source point
     x0 with a three-point head and each target y0 of its signature pin one
     candidate, and shorter heads let the rest of the triple range over the
-    points of matching signature."""
+    points of matching signature.
+
+    The candidate is then checked pointwise, all points normalized through
+    one table of inverses built per call.  s o phi and psi o s have degree
+    d, so their cross-multiplied determinant is a form of degree 2d: when
+    q + 1 > 2d, agreement at 2d + 1 rational points proves s o phi = psi o
+    s.  Otherwise every rational point is checked and then the exact
+    identity."""
     K = phi.K
     q = K.order
     if q is None:
@@ -107,8 +153,9 @@ def conj_exhaustive(phi: RatMap, psi: RatMap) -> list:
         return []
 
     pts = [(e, K.one) for e in K.elements()] + [infinity(K)]
-    img_phi, head_phi, sig_phi = tab = _orbit_table(phi, pts)
-    img_psi, head_psi, sig_psi = tab if psi == phi else _orbit_table(psi, pts)
+    inv = _inverses(K)
+    img_phi, head_phi, sig_phi = tab = _orbit_table(phi, pts, inv)
+    img_psi, head_psi, sig_psi = tab if psi == phi else _orbit_table(psi, pts, inv)
     by_sig = {}
     for y in pts:
         by_sig.setdefault(sig_psi[y], []).append(y)
@@ -118,7 +165,13 @@ def conj_exhaustive(phi: RatMap, psi: RatMap) -> list:
     src = head_phi[x0]
     extra = sorted((x for x in pts if x not in src), key=lambda x: len(targets[x]))
     extra = extra[: 3 - len(src)]
-    need_exact = (q + 1) <= 2 * phi.d  # pointwise match is then inconclusive
+    src += tuple(extra)
+    need_exact = q + 1 <= 2 * phi.d
+    # the triple comes last: s agrees at most of its points by construction
+    checks = [x for x in pts if x not in src] + list(src)
+    if not need_exact:
+        checks = checks[: 2 * phi.d + 1]
+    checks = [(x, img_phi[x]) for x in checks]
 
     found = []
     for y0 in targets[x0]:
@@ -126,8 +179,10 @@ def conj_exhaustive(phi: RatMap, psi: RatMap) -> list:
             dst = head_psi[y0] + rest
             if len(set(dst)) < 3:
                 continue
-            s = mobius_from_three_points(K, src + tuple(extra), dst)
-            if all(s.apply(img_phi[x]) == img_psi[s.apply(x)] for x in pts) and (
+            s = mobius_from_three_points(K, src, dst)
+            a, b, c, d = s.t  # s is the map (aX + bY : cX + dY)
+            move = _point_map(K, (b, a), (d, c), inv)
+            if all(move(fx) == img_psi[move(x)] for x, fx in checks) and (
                     not need_exact or is_conjugating(s, phi, psi)):
                 found.append(s)
     return _sorted_mobius(found)
@@ -195,9 +250,41 @@ def _frobenius_orbits(K, R):
     return rational, higher
 
 
+def _null_line(K, rows):
+    """A spanning vector of the solutions over K of the homogeneous
+    system rows (4-vectors over K) of rank 3, or None for rank 4; by
+    Gauss-Jordan elimination."""
+    zero = K.zero
+    reduced = {}  # pivot column -> its row: 1 there, 0 at the other pivots
+    for r in rows:
+        for col, piv in reduced.items():
+            c = r[col]
+            if c != zero:
+                r = [K.sub(x, K.mul(c, y)) for x, y in zip(r, piv)]
+        col = next((i for i, x in enumerate(r) if x != zero), None)
+        if col is None:
+            continue
+        if len(reduced) == 3:
+            return None
+        u = K.inv(r[col])
+        r = [K.mul(u, x) for x in r]
+        for c2, piv in list(reduced.items()):
+            c = piv[col]
+            if c != zero:
+                reduced[c2] = [K.sub(x, K.mul(c, y)) for x, y in zip(piv, r)]
+        reduced[col] = r
+    free = next(i for i in range(4) if i not in reduced)
+    vec = [zero] * 4
+    vec[free] = K.one
+    for col, piv in reduced.items():
+        vec[col] = K.neg(piv[free])
+    return vec
+
+
 def conj_invariant_sets(phi: RatMap, psi: RatMap):
-    """(candidates over the stem field E, Conj over the ground field K,
-    reason) via the invariant point sets of the two maps.
+    """(the stem field E, Conj over the ground field K, reason) via the
+    invariant point sets of the two maps; E is None when the sets already
+    rule conjugacy out.
 
     A conjugation s over K carries the invariant set of phi onto that of
     psi and commutes with Frobenius F, so it sends each Frobenius orbit to
@@ -208,8 +295,16 @@ def conj_invariant_sets(phi: RatMap, psi: RatMap):
     Its image is (r', b, Fb), (b, Fb, e) or (b, Fb, F^2 b) for b, e in
     orbits of psi of the same degrees, all of which split in the stem field
     E = K[x]/(g) of the source orbit's factor g; the roots of g itself are
-    the Frobenius images of x.  A candidate whose entries do not retract to
-    K is not rational; the rest are confirmed with the exact identity.
+    the Frobenius images of x.
+
+    s = [[alpha, beta], [gamma, delta]] sends u to v iff v1 (alpha u0 +
+    beta u1) - v0 (gamma u0 + delta u1) = 0, one linear equation over E,
+    or k = [E : K] equations over K in its K-coordinates.  The solutions
+    over E through three distinct pairs form one E-line, so a rational
+    candidate is exactly a K-point of that line: the system stacked over
+    the triple, solved over K, has a one-dimensional null space, or the
+    triple has no rational candidate.  Candidates are confirmed with the
+    exact identity.
     """
     K = phi.K
     if K.order is None:
@@ -217,11 +312,11 @@ def conj_invariant_sets(phi: RatMap, psi: RatMap):
     same = psi == phi  # for Aut the type test cannot fail; reuse phi's data
     reason = None if same else types_rule_out_conjugacy(phi, psi)
     if reason:
-        return [], [], reason
+        return None, [], reason
     R_phi, counts_phi = _invariant_form(phi)
     R_psi, counts_psi = (R_phi, counts_phi) if same else _invariant_form(psi)
     if counts_phi != counts_psi:
-        return [], [], "invariant point set size mismatch"
+        return None, [], "invariant point set size mismatch"
     rat_phi, orb_phi = _frobenius_orbits(K, R_phi)
     rat_psi, orb_psi = (rat_phi, orb_phi) if same else _frobenius_orbits(K, R_psi)
 
@@ -229,11 +324,12 @@ def conj_invariant_sets(phi: RatMap, psi: RatMap):
         return len(rat), {k: len(gs) for k, gs in orb.items()}
 
     if degrees(rat_phi, orb_phi) != degrees(rat_psi, orb_psi):
-        return [], [], "invariant set orbit mismatch"
+        return None, [], "invariant set orbit mismatch"
 
     quads = len(orb_phi.get(2, ()))
     if len(rat_phi) >= 3:
         E = K
+        fields = (K, K, K)
         src = tuple(rat_phi[:3])
         dsts = itertools.permutations(rat_psi, 3)
     else:
@@ -242,6 +338,7 @@ def conj_invariant_sets(phi: RatMap, psi: RatMap):
             raise RuntimeError("splitting field degree %d is out of reach" % k)
         g = orb_phi[k][0]
         E = ExtensionField(K, g)
+        fields = (E, E, E)
 
         def orbit(h):
             """The roots of h in E as points, in Frobenius order."""
@@ -257,36 +354,42 @@ def conj_invariant_sets(phi: RatMap, psi: RatMap):
             """(b, Fb, ..., F^(n-1) b) for each point b of the orbit o."""
             return [tuple(o[(i + j) % k] for j in range(n)) for i in range(k)]
 
-        def lift(pt):
-            return (E.embed(pt[0]), E.embed(pt[1]))
-
         a = orbit(g)
         orbits = [a if h == g else orbit(h) for h in orb_psi[k]]
         if k > 2:
             src = tuple(a[:3])
             dsts = [t for o in orbits for t in heads(o, 3)]
         elif rat_phi:
-            src = (lift(rat_phi[0]),) + tuple(a)
-            dsts = [(lift(r),) + t for r in rat_psi for o in orbits for t in heads(o, 2)]
+            fields = (K, E, E)
+            src = (rat_phi[0],) + tuple(a)
+            dsts = [(r,) + t for r in rat_psi for o in orbits for t in heads(o, 2)]
         else:
             src = tuple(a) + (orbit(orb_phi[2][1])[0],)
             dsts = [t + (e,) for i, o in enumerate(orbits) for t in heads(o, 2)
                     for j, o2 in enumerate(orbits) if j != i for e in o2]
 
-    candidates = [mobius_from_three_points(E, src, dst) for dst in dsts]
+    def rows(F, u, v):
+        """The K-rows of the equation over F for s(u) = v.  The points are
+        normalized, so u1 and v1 are 0 or 1 and only v0 u0 is a product."""
+        def times(x, bit):
+            return x if bit == F.one else F.zero
+
+        eq = (times(u[0], v[1]), times(u[1], v[1]),
+              F.neg(F.mul(v[0], u[0])), F.neg(times(v[0], u[1])))
+        return [eq] if F is K else list(zip(*eq))
+
     targets = set(rat_psi)
     rational = []
-    for s in candidates:
-        if E is not K:
-            coords = [E.retract(c) for c in s.t]
-            if any(c is None for c in coords):
-                continue
-            s = Mobius(K, *coords)
+    for dst in dsts:
+        vec = _null_line(K, [r for F, u, v in zip(fields, src, dst) for r in rows(F, u, v)])
+        if vec is None:
+            continue
+        s = Mobius(K, *vec)
         # a cheap necessary test before the exact one: s carries the
         # rational points of phi's invariant set onto those of psi's
         if all(s.apply(x) in targets for x in rat_phi) and is_conjugating(s, phi, psi):
             rational.append(s)
-    return _sorted_mobius(candidates), _sorted_mobius(rational), ""
+    return E, _sorted_mobius(rational), ""
 
 
 # ---------------------------------------------------------------------------

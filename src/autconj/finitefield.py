@@ -4,8 +4,12 @@ IntegersMod(m) and its subclass PrimeField have plain int elements in
 [0, m); poly.py runs raw-int loops for both.  ExtensionField elements are
 fixed-length tuples of base-field elements (coefficients of the residue
 class modulo a monic irreducible, lowest degree first) over a finite base.
-Towers compose: the base of an ExtensionField can itself be an
-ExtensionField.
+Over a prime base, add, sub, neg and mul run as plain-int loops: the
+product convolves raw int products, folds the coefficients of degree >= k
+back in through the precomputed rows x^(k+j) mod modulus, and reduces each
+coefficient once with % p.  Towers compose: the base of an ExtensionField
+can itself be an ExtensionField, whose elements go through the base's own
+methods.
 
 Only canonical representatives exist, so == and hash are structural.
 """
@@ -103,9 +107,8 @@ class PrimeField(IntegersMod):
 class ExtensionField:
     """base[x] / (modulus), modulus monic of degree >= 2 over base.
 
-    Elements are length-k tuples of base elements.  embed/retract move
-    between the base field and the subfield of constants; rationality
-    tests throughout the package are 'retract is not None'.
+    Elements are length-k tuples of base elements; embed maps the base
+    field onto the constants.
     """
 
     is_field = True
@@ -137,6 +140,9 @@ class ExtensionField:
                     nxt[i] = base.sub(nxt[i], base.mul(top, self.modulus[i]))
             cur = nxt
         self._red = red
+        # the characteristic when the base is a prime field, whose int
+        # elements take the plain-int loops; 0 for a tower
+        self._p = base.p if isinstance(base, PrimeField) else 0
         self.gen = (base.zero, base.one) + (base.zero,) * (k - 2)
 
     def from_int(self, n: int):
@@ -145,28 +151,49 @@ class ExtensionField:
     def embed(self, a):
         return (a,) + (self.base.zero,) * (self.k - 1)
 
-    def retract(self, e):
-        """Base-field value of e, or None if e is not in the base field."""
-        for c in e[1:]:
-            if c != self.base.zero:
-                return None
-        return e[0]
-
     def add(self, a, b):
+        p = self._p
+        if p:
+            return tuple([(x + y) % p for x, y in zip(a, b)])
         B = self.base
         return tuple(B.add(x, y) for x, y in zip(a, b))
 
     def sub(self, a, b):
+        p = self._p
+        if p:
+            return tuple([(x - y) % p for x, y in zip(a, b)])
         B = self.base
         return tuple(B.sub(x, y) for x, y in zip(a, b))
 
     def neg(self, a):
+        p = self._p
+        if p:
+            return tuple([-x % p for x in a])
         B = self.base
         return tuple(B.neg(x) for x in a)
 
     def mul(self, a, b):
-        B = self.base
         k = self.k
+        p = self._p
+        if p:
+            # raw int products, the high part folded in unreduced
+            conv = [0] * (2 * k - 1)
+            i = 0
+            for x in a:
+                if x:
+                    j = i
+                    for y in b:
+                        conv[j] += x * y
+                        j += 1
+                i += 1
+            for j in range(k - 1):
+                c = conv[k + j]
+                if c:
+                    row = self._red[j]
+                    for i in range(k):
+                        conv[i] += c * row[i]
+            return tuple([c % p for c in conv[:k]])
+        B = self.base
         conv = [B.zero] * (2 * k - 1)
         for i, x in enumerate(a):
             if x == B.zero:

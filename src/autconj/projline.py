@@ -242,7 +242,9 @@ class RatMap:
             raise ValueError("zero form")
         if len(a0) < d + 1 and len(a1) < d + 1:
             raise ValueError("forms share the factor Y")
-        if P.pdeg(P.pgcd(K, a0, a1)) > 0:
+        # over Q one reduction mod a large prime nearly always settles it
+        coprime = K.char == 0 and _coprime_mod_probe(a0, a1, d)
+        if not coprime and P.pdeg(P.pgcd(K, a0, a1)) > 0:
             raise ValueError("forms share a factor")
         self.K = K
         self.F0 = F0
@@ -379,6 +381,22 @@ def _poly_str(K, f) -> str:
         else:
             out += " + " + mono
     return out
+
+
+# reductions of integer forms modulo this prime certify coprimality over Q
+_PROBE = PrimeField(2**61 - 1)
+
+
+def _coprime_mod_probe(a0, a1, d) -> bool:
+    """True when the dehomogenized integer forms a0, a1 of degree d are
+    certainly coprime: reduced mod the probe prime p, both are nonzero,
+    some top coefficient survives and the gcd is 1, so the resultant is
+    nonzero mod p and hence nonzero.  False decides nothing."""
+    p = _PROBE.p
+    b0 = P.pstrip(_PROBE, [c % p for c in a0])
+    b1 = P.pstrip(_PROBE, [c % p for c in a1])
+    return (bool(b0) and bool(b1) and (len(b0) > d or len(b1) > d)
+            and len(P.pgcd(_PROBE, b0, b1)) == 1)
 
 
 def _fixed_point_form(K, F0, F1) -> tuple:

@@ -108,6 +108,40 @@ def test_exhaustive_matches_brute_force_oracle():
                 assert {m.t for m in conj_exhaustive(phi, target)} == want, (K, phi, target)
 
 
+# (p, phi, psi) of degree d = (p + 1)/2 that agree at every point of
+# P^1(F_p) but differ: the identity passes every pointwise check, and only
+# the exact identity rejects it
+_POINTWISE_TWINS = (
+    (3, ((1, 2, 2), (0, 2, 0)), ((1, 1, 2), (0, 1, 0))),
+    (5, ((1, 3, 3, 1), (0, 2, 4, 0)), ((1, 3, 0, 3), (0, 3, 1, 0))),
+    (7, ((1, 4, 5, 6, 0), (0, 3, 2, 0, 1)), ((1, 3, 5, 1, 0), (0, 2, 3, 6, 5))),
+)
+
+
+def test_exhaustive_pointwise_proof_matches_brute_force():
+    # when q + 1 > 2d the scan checks 2d + 1 points and no exact identity;
+    # d = 2..4 puts q + 1 on both sides of 2d, at q + 1 = 2d (GF(3) with
+    # d = 2, GF(5) with d = 3, GF(7) with d = 4) and q + 1 = 2d + 1
+    # (GF(2, 2) with d = 2)
+    for p, forms_phi, forms_psi in _POINTWISE_TWINS:
+        K = GF(p)
+        phi, psi = RatMap(K, *forms_phi), RatMap(K, *forms_psi)
+        pts = [(e, K.one) for e in K.elements()] + [infinity(K)]
+        assert phi != psi and all(phi.apply(x) == psi.apply(x) for x in pts)
+        want = _conj_oracle(_pgl2(K), phi, psi)
+        assert {m.t for m in conj_exhaustive(phi, psi)} == want
+    rng = random.Random(83)
+    for K in (GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3)):
+        group = _pgl2(K)
+        ordered = sorted(group, key=Mobius.sort_key)
+        for d in (2, 3, 4):
+            phi = random_map_ff(K, d, rng)
+            psi = conjugate_map(phi, rng.choice(ordered))
+            for target in (phi, psi, random_map_ff(K, d, rng)):
+                want = _conj_oracle(group, phi, target)
+                assert {m.t for m in conj_exhaustive(phi, target)} == want, (K, phi, target)
+
+
 def test_exhaustive_every_head_length():
     # the longest forward head has 1, 2 and 3 points: orbits pin one, two
     # and three points of the triple, the rest range over their signature
@@ -240,18 +274,37 @@ def test_invariant_sets_source_cases():
     for name, ((p, num, den), k, order) in _SOURCE_CASES.items():
         K = GF(p)
         phi = _zmap(K, num, den)
-        cands, rational, reason = conj_invariant_sets(phi, phi)
-        assert {s.K.order for s in cands} == {p**k}, name
+        E, rational, reason = conj_invariant_sets(phi, phi)
+        assert E.order == p**k, name
         assert len(rational) == order, name
         assert {m.t for m in rational} == {m.t for m in aut_exhaustive(phi)}, name
         for _ in range(3):
             f = _random_mobius(K, rng)
             psi = conjugate_map(phi, f)
-            cands, rational, reason = conj_invariant_sets(phi, psi)
-            assert {s.K.order for s in cands} == {p**k}, name
+            E, rational, reason = conj_invariant_sets(phi, psi)
+            assert E.order == p**k, name
             got = {m.t for m in rational}
             assert f.t in got and reason == "", name
             assert got == {m.t for m in conj_exhaustive(phi, psi)}, name
+
+
+# maps over F_9 and F_8 whose invariant set puts the source triple in an
+# orbit of degree 2 or 3, so the stem field is a tower over an extension:
+# (p, k, d, seed) -> [E : K]
+_TOWER_CASES = {(3, 2, 2, 1): 2, (3, 2, 2, 4): 3, (2, 3, 2, 0): 2, (2, 3, 2, 1): 3}
+
+
+def test_invariant_sets_over_towers():
+    for (p, k, d, seed), degree in _TOWER_CASES.items():
+        K = GF(p, k)
+        rng = random.Random(seed)
+        phi = random_map_ff(K, d, rng)
+        f = _random_mobius(K, rng)
+        E, rational, reason = conj_invariant_sets(phi, conjugate_map(phi, f))
+        assert E.base == K and E.k == degree, (p, k, seed)
+        got = {m.t for m in rational}
+        assert f.t in got and reason == ""
+        assert got == {m.t for m in conj_exhaustive(phi, conjugate_map(phi, f))}
 
 
 def test_invariant_sets_field_degree_cap(monkeypatch):
@@ -274,7 +327,7 @@ def test_invariant_sets_orbit_mismatch():
     psi = _zmap(K, (1, 0, 6), (0, 6))
     assert types_rule_out_conjugacy(phi, psi) is None
     assert _invariant_form(phi)[1] == _invariant_form(psi)[1] == (1, 2, 4)
-    assert conj_invariant_sets(phi, psi) == ([], [], "invariant set orbit mismatch")
+    assert conj_invariant_sets(phi, psi) == (None, [], "invariant set orbit mismatch")
     assert conj_exhaustive(phi, psi) == []
 
 
@@ -298,8 +351,8 @@ def test_aut_degree_six_orbit_over_f128():
     assert res.algorithm == "invariant-sets"
     assert [m.t for m in res.elements] == [Mobius.identity(K).t]
     assert [m.t for m in aut_fixed_points(phi)] == [Mobius.identity(K).t]
-    cands, _, _ = conj_invariant_sets(phi, phi)
-    assert {s.K.order for s in cands} == {2**42}
+    E, _, _ = conj_invariant_sets(phi, phi)
+    assert E.order == 2**42
 
 
 def test_invariant_form_pullback():

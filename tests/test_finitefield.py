@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from autconj import poly as P
 from autconj.finitefield import GF, ExtensionField, PrimeField
 
 
@@ -62,15 +65,7 @@ def test_extension_basics():
     assert len(list(K.elements())) == 25
     base = K.base
     for n in range(5):
-        x = K.from_int(n)
-        assert K.retract(x) == base.from_int(n)
-    # a genuinely quadratic element does not retract
-    gen = None
-    for x in K.elements():
-        if K.retract(x) is None:
-            gen = x
-            break
-    assert gen is not None
+        assert K.from_int(n) == (base.from_int(n), base.zero)
 
 
 def test_extension_axioms():
@@ -135,3 +130,52 @@ def test_random_element_lands_in_field():
     els = set(K.elements())
     for _ in range(50):
         assert K.random_element(rng) in els
+
+
+def _tower_over_f9():
+    # x^2 - c over GF(9) for a non-square c: a quadratic extension of an
+    # extension, whose elements go through the generic loops
+    B = GF(3, 2)
+    c = next(c for c in B.elements() if c != B.zero and B.pow(c, 4) != B.one)
+    return ExtensionField(B, (B.neg(c), B.zero, B.one))
+
+
+KERNEL_FIELDS = (GF(2, 3), GF(3, 2), GF(5, 3), GF(2, 7), _tower_over_f9())
+
+
+def _element(K, n):
+    """The element of K whose base-|base| digits, lowest first, are n's."""
+    if isinstance(K, PrimeField):
+        return n % K.p
+    digits = []
+    for _ in range(K.k):
+        n, r = divmod(n, K.base.order)
+        digits.append(_element(K.base, r))
+    return tuple(digits)
+
+
+def _reduced(K, f):
+    """The polynomial f over K.base as an element of K."""
+    r = P.pmod(K.base, f, K.modulus)
+    return tuple(r) + (K.base.zero,) * (K.k - len(r))
+
+
+def test_element_arithmetic_matches_polynomials_mod_modulus():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+    @hypothesis.given(st.sampled_from(KERNEL_FIELDS), st.integers(0, 3**12),
+                      st.integers(0, 3**12), st.integers(0, 40))
+    def check(K, m, n, e):
+        B = K.base
+        a, b = _element(K, m % K.order), _element(K, n % K.order)
+        assert K.mul(a, b) == _reduced(K, P.pmul(B, a, b))
+        assert K.add(a, b) == _reduced(K, P.padd(B, a, b))
+        assert K.sub(a, b) == _reduced(K, P.psub(B, a, b))
+        assert K.neg(a) == _reduced(K, P.pneg(B, a))
+        assert K.pow(a, e) == _reduced(K, P.ppow_mod(B, a, e, K.modulus))
+        if a != K.zero:
+            assert K.mul(a, K.inv(a)) == K.one
+
+    check()

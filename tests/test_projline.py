@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 import autconj.poly as P
 from autconj.cli import parse_map
 from autconj.domains import QQ
@@ -140,6 +142,24 @@ def test_ratmap_rejects_degenerate():
         assert False  # zero denominator
     except ValueError:
         pass
+
+
+def test_ratmap_coprimality_over_q():
+    # one reduction mod M = 2^61 - 1 proves most pairs coprime; when the
+    # reductions share a root or both lose their top coefficient, the
+    # exact gcd decides
+    M = 2**61 - 1
+    assert RatMap(QQ, (0, 1), (M, 1)).d == 1  # z and z + M: both z mod M
+    assert RatMap(QQ, (1, M), (2, M)).d == 1  # Mz + 1 and Mz + 2
+    with pytest.raises(ValueError, match="share a factor"):
+        # (z - M)(z + 1) and 2z(z - M)
+        RatMap(QQ, (-M, 1 - M, 1), (0, -2 * M, 2))
+    with pytest.raises(ValueError, match="share a factor"):
+        # (Mz + 1)z and (Mz + 1)(z + 1): z and z + 1 mod M, coprime, but
+        # both lose their top coefficient, so they share the root infinity
+        RatMap(QQ, (0, 1, M), (1, M + 1, M))
+    with pytest.raises(ValueError, match="share a factor"):
+        RatMap(QQ, (-1, 0, 1), (-1, 1, 0))  # (z - 1)(z + 1) and z - 1
 
 
 def test_ratmap_apply():
