@@ -5,7 +5,10 @@ Finite fields get the classical pipeline: Musser squarefree decomposition
 equal-degree splitting (trace map in characteristic 2).  distinct_degree
 is the one x^q-gcd sieve; with a degree bound it stops there and drops the
 cofactor unfactored, which is how roots (bound 1) and the linear and
-quadratic factors the solvers need (bound 2) are read off.
+quadratic factors the solvers need (bound 2) are read off.  stem_root
+finds a root of an irreducible h of degree k in an extension of degree k
+by one norm (or trace) split whose Frobenius powers are computed over the
+ground field.
 
 Over Q we only ever need factors of degree <= 2 (fixed-point and 2-periodic
 data of a rational map live in at worst quadratic extensions), so instead
@@ -156,16 +159,59 @@ def equal_degree(K, f, d: int, rng) -> list[tuple]:
     return equal_degree(K, g, d, rng) + equal_degree(K, P.pquo(K, f, g), d, rng)
 
 
-def one_root_ff(K, f):
-    """One root of f, a product of distinct linear factors over finite K:
-    split, and keep only the smaller factor."""
+def stem_root(E, h):
+    """A root in E = K[x]/(g), k = [E : K], of h, monic and irreducible of
+    degree k over the finite field K, so that h splits into distinct
+    linear factors over E (von zur Gathen and Shoup's Frobenius powers).
+
+    E[y]/(h) is a product of copies of E, one per root b, and
+    pi_i = y^(q^i) mod h, computed over K, takes the value F^i(b) at each.
+    For c in E, N = prod_i (pi_i + F^i(c)) takes the value N_{E/K}(b + c)
+    in K at b, and N^((q-1)/2) its quadratic character over K; for even q,
+    T = sum_i F^i(c) pi_i takes Tr_{E/K}(c b), and the sum of its
+    2^l-th powers, l < log2 q, the trace down to F_2.  So one gcd with h
+    splits off the roots of one character value, and a c outside K
+    separates two roots with probability about 1/2.  A factor of degree
+    >= 2 that remains is split by Cantor-Zassenhaus.
+    """
+    K = E.base
+    k = E.k
+    q = K.order
+    pis = [P.pmono(K, 1)]
+    for _ in range(k - 1):
+        pis.append(P.ppow_mod(K, pis[-1], q, h))
+    pis = [tuple(E.embed(c) for c in pi) for pi in pis]
+    h = tuple(E.embed(c) for c in h)
     rng = random.Random(_CZ_SEED)
-    f = P.pmonic(K, f)
+    while True:
+        c = E.random_element(rng)
+        conj = [c]
+        for _ in range(k - 1):
+            conj.append(E.frobenius(conj[-1]))
+        if conj[1] == c:  # c in K: every root gives the same value
+            continue
+        if q % 2:
+            N = P.padd(E, pis[0], (c,))
+            for pi, ci in zip(pis[1:], conj[1:]):
+                N = P.pmod(E, P.pmul(E, N, P.padd(E, pi, (ci,))), h)
+            t = P.psub(E, P.ppow_mod(E, N, (q - 1) // 2, h), (E.one,))
+        else:
+            T = ()
+            for pi, ci in zip(pis, conj):
+                T = P.padd(E, T, P.pscale(E, pi, ci))
+            t = s = T
+            for _ in range(q.bit_length() - 2):
+                s = P.pmod(E, P.pmul(E, s, s), h)
+                t = P.padd(E, t, s)
+        f = P.pgcd(E, t, h)
+        if 0 < P.pdeg(f) < k:
+            break
+    # keep the smaller side of each split down to one root
+    f = min(f, P.pquo(E, h, f), key=len)
     while P.pdeg(f) > 1:
-        g = _split(K, f, 1, rng)
-        h = P.pquo(K, f, g)
-        f = g if P.pdeg(g) <= P.pdeg(h) else h
-    return K.neg(f[0])
+        g = _split(E, f, 1, rng)
+        f = min(g, P.pquo(E, f, g), key=len)
+    return E.neg(f[0])
 
 
 def factor_ff(K, f, rng=None, bound=None) -> list[tuple[tuple, int]]:

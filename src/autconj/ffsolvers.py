@@ -13,7 +13,10 @@ Three engines, in increasing sophistication:
     source triple taken from the smallest orbits and its possible images
     over the stem field of one orbit, whose roots are the Frobenius images
     of its generator, pin every candidate: the rational one, if any, is the
-    null line of one linear system over F_q per image triple;
+    null line of one linear system over F_q per image triple.  The other
+    map's orbits get one root each by a norm (or trace) split whose
+    Frobenius powers are computed over F_q, and the costly half of the
+    factorization type test only names the reason for an empty answer;
   * the fixed-point method for Aut only: an automorphism of finite order
     has its own fixed points constrained to sit among the fixed points,
     2-periodic points and first preimages of the map, which cuts the
@@ -41,11 +44,11 @@ from collections import Counter
 from . import poly as P
 from .factor import (
     factor_ff,
-    one_root_ff,
     roots_ff,
     form_factorization_type,
     form_radical,
     small_factors_qq,
+    stem_root,
 )
 from .finitefield import ExtensionField
 from .groups import group_structure
@@ -195,6 +198,18 @@ def aut_exhaustive(phi: RatMap) -> list:
 # ---------------------------------------------------------------------------
 # invariant-set method
 
+def _fixed_point_types_differ(phi: RatMap, psi: RatMap):
+    """The cheap half of types_rule_out_conjugacy, at degree d + 1: the
+    degrees and the factorization types of the fixed point forms."""
+    if phi.d != psi.d:
+        return "degree mismatch"
+    K = phi.K
+    if (form_factorization_type(K, phi.fixed_point_form())
+            != form_factorization_type(K, psi.fixed_point_form())):
+        return "factorization type mismatch"
+    return None
+
+
 def types_rule_out_conjugacy(phi: RatMap, psi: RatMap):
     """Cheap necessary conditions; a reason string when Conj is provably
     empty, else None.
@@ -202,17 +217,15 @@ def types_rule_out_conjugacy(phi: RatMap, psi: RatMap):
     The factorization type of the fixed point form (and of its pullback,
     the form cutting out the first preimages of the fixed points) is a
     conjugation invariant, because conjugation acts on those forms by an
-    invertible linear substitution and a scalar.
+    invertible linear substitution and a scalar.  The pullback has degree
+    d(d + 1), so its half costs the most.
     """
-    if phi.d != psi.d:
-        return "degree mismatch"
+    reason = _fixed_point_types_differ(phi, psi)
+    if reason:
+        return reason
     K = phi.K
-    f_phi = phi.fixed_point_form()
-    f_psi = psi.fixed_point_form()
-    if form_factorization_type(K, f_phi) != form_factorization_type(K, f_psi):
-        return "factorization type mismatch"
-    pre_phi = P.form_compose(K, f_phi, phi.F0, phi.F1)
-    pre_psi = P.form_compose(K, f_psi, psi.F0, psi.F1)
+    pre_phi = P.form_compose(K, phi.fixed_point_form(), phi.F0, phi.F1)
+    pre_psi = P.form_compose(K, psi.fixed_point_form(), psi.F0, psi.F1)
     if form_factorization_type(K, pre_phi) != form_factorization_type(K, pre_psi):
         return "factorization type mismatch"
     return None
@@ -295,7 +308,8 @@ def conj_invariant_sets(phi: RatMap, psi: RatMap):
     Its image is (r', b, Fb), (b, Fb, e) or (b, Fb, F^2 b) for b, e in
     orbits of psi of the same degrees, all of which split in the stem field
     E = K[x]/(g) of the source orbit's factor g; the roots of g itself are
-    the Frobenius images of x.
+    the Frobenius images of x, and those of psi's factor h the images of
+    one root that stem_root finds.
 
     s = [[alpha, beta], [gamma, delta]] sends u to v iff v1 (alpha u0 +
     beta u1) - v0 (gamma u0 + delta u1) = 0, one linear equation over E,
@@ -305,18 +319,36 @@ def conj_invariant_sets(phi: RatMap, psi: RatMap):
     the triple, solved over K, has a one-dimensional null space, or the
     triple has no rational candidate.  Candidates are confirmed with the
     exact identity.
+
+    The degrees and the fixed point types are compared up front, at
+    degree d + 1.  The pullback half of types_rule_out_conjugacy runs only
+    when no candidate survives, or before a refusal, and its reason then
+    takes the place of any other, with E None: so a conjugate pair never
+    pays for it, and a pair it rules out is never refused.
     """
     K = phi.K
     if K.order is None:
         raise TypeError("invariant-set search needs a finite ground field")
     same = psi == phi  # for Aut the type test cannot fail; reuse phi's data
-    reason = None if same else types_rule_out_conjugacy(phi, psi)
+    reason = None if same else _fixed_point_types_differ(phi, psi)
     if reason:
         return None, [], reason
-    R_phi, counts_phi = _invariant_form(phi)
-    R_psi, counts_psi = (R_phi, counts_phi) if same else _invariant_form(psi)
+
+    def named():
+        """The whole type test, run only to name the reason for an empty
+        answer or before a refusal; None when it names none."""
+        return None if same else types_rule_out_conjugacy(phi, psi)
+
+    try:
+        R_phi, counts_phi = _invariant_form(phi)
+        R_psi, counts_psi = (R_phi, counts_phi) if same else _invariant_form(psi)
+    except RuntimeError:
+        reason = named()
+        if reason:
+            return None, [], reason
+        raise
     if counts_phi != counts_psi:
-        return None, [], "invariant point set size mismatch"
+        return None, [], named() or "invariant point set size mismatch"
     rat_phi, orb_phi = _frobenius_orbits(K, R_phi)
     rat_psi, orb_psi = (rat_phi, orb_phi) if same else _frobenius_orbits(K, R_psi)
 
@@ -324,7 +356,7 @@ def conj_invariant_sets(phi: RatMap, psi: RatMap):
         return len(rat), {k: len(gs) for k, gs in orb.items()}
 
     if degrees(rat_phi, orb_phi) != degrees(rat_psi, orb_psi):
-        return None, [], "invariant set orbit mismatch"
+        return None, [], named() or "invariant set orbit mismatch"
 
     quads = len(orb_phi.get(2, ()))
     if len(rat_phi) >= 3:
@@ -335,6 +367,9 @@ def conj_invariant_sets(phi: RatMap, psi: RatMap):
     else:
         k = 2 if quads >= 2 or (quads and rat_phi) else min(k for k in orb_phi if k > 2)
         if k > SPLIT_DEGREE_CAP:
+            reason = named()
+            if reason:
+                return None, [], reason
             raise RuntimeError("splitting field degree %d is out of reach" % k)
         g = orb_phi[k][0]
         E = ExtensionField(K, g)
@@ -344,7 +379,7 @@ def conj_invariant_sets(phi: RatMap, psi: RatMap):
             """The roots of h in E as points, in Frobenius order."""
             # h is irreducible of degree [E : K], so it splits into
             # distinct linear factors over E
-            b = E.gen if h == g else one_root_ff(E, tuple(E.embed(c) for c in h))
+            b = E.gen if h == g else stem_root(E, h)
             out = [b]
             while len(out) < k:
                 out.append(E.frobenius(out[-1]))
@@ -389,6 +424,9 @@ def conj_invariant_sets(phi: RatMap, psi: RatMap):
         # rational points of phi's invariant set onto those of psi's
         if all(s.apply(x) in targets for x in rat_phi) and is_conjugating(s, phi, psi):
             rational.append(s)
+    reason = None if rational else named()
+    if reason:
+        return None, [], reason
     return E, _sorted_mobius(rational), ""
 
 
@@ -599,8 +637,9 @@ def conj_ff(phi: RatMap, psi: RatMap, algorithm: str = "auto") -> ConjResult:
         algorithm = ("exhaustive" if q * (q * q - 1) <= EXHAUSTIVE_CEILING
                      else "invariant-sets")
     if algorithm == "invariant-sets":
-        # conj_invariant_sets starts with the type test, which also keeps
-        # a non-conjugate pair from reaching the field degree cap
+        # conj_invariant_sets runs the whole type test before any empty
+        # answer or refusal, so a pair it rules out never reaches the
+        # field degree cap
         _, rational, reason = conj_invariant_sets(phi, psi)
         return ConjResult(tuple(rational), algorithm, reason)
     if algorithm != "exhaustive":

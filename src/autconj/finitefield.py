@@ -9,7 +9,9 @@ product convolves raw int products, folds the coefficients of degree >= k
 back in through the precomputed rows x^(k+j) mod modulus, and reduces each
 coefficient once with % p.  Towers compose: the base of an ExtensionField
 can itself be an ExtensionField, whose elements go through the base's own
-methods.
+methods.  Frobenius, the |base|-th power, is base-linear, so each field
+applies it as the k x k matrix of rows F(x)^i over its base, built from
+one power on first use.
 
 Only canonical representatives exist, so == and hash are structural.
 """
@@ -144,6 +146,7 @@ class ExtensionField:
         # elements take the plain-int loops; 0 for a tower
         self._p = base.p if isinstance(base, PrimeField) else 0
         self.gen = (base.zero, base.one) + (base.zero,) * (k - 2)
+        self._frob = None  # the rows F(x)^i of frobenius, built on first use
 
     def from_int(self, n: int):
         return self.embed(self.base.from_int(n))
@@ -236,8 +239,34 @@ class ExtensionField:
         return out
 
     def frobenius(self, a):
-        """The q-power map, q = |base|; fixes exactly the base field."""
-        return self.pow(a, self.base.order)
+        """The q-power map, q = |base|; fixes exactly the base field.
+
+        It is base-linear, F(sum a_i x^i) = sum a_i F(x)^i, so it applies
+        the rows F(x)^i, built from one q-th power on first use.
+        """
+        rows = self._frob
+        if rows is None:
+            fx = self.pow(self.gen, self.base.order)
+            rows = [self.one]
+            for _ in range(self.k - 1):
+                rows.append(self.mul(rows[-1], fx))
+            self._frob = rows
+        k = self.k
+        p = self._p
+        if p:
+            out = [0] * k
+            for c, row in zip(a, rows):
+                if c:
+                    for j in range(k):
+                        out[j] += c * row[j]
+            return tuple([c % p for c in out])
+        B = self.base
+        out = [B.zero] * k
+        for c, row in zip(a, rows):
+            if c != B.zero:
+                for j in range(k):
+                    out[j] = B.add(out[j], B.mul(c, row[j]))
+        return tuple(out)
 
     def elements(self) -> Iterator[tuple]:
         base_elems = list(self.base.elements())

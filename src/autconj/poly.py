@@ -20,6 +20,7 @@ import math
 from typing import Sequence
 
 from . import finitefield as FF
+from .domains import ZZ
 
 Poly = tuple
 Form = tuple
@@ -89,13 +90,14 @@ def pscale(K, f, c) -> Poly:
 
 
 def _int_mul(f, g, m) -> list:
-    """Product of int coefficient sequences mod m, unstripped."""
+    """Product of int coefficient sequences mod m (over Z when m = 0),
+    unstripped."""
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g, i):
                 out[j] += a * b
-    return [c % m for c in out]
+    return [c % m for c in out] if m else out
 
 
 def _int_strip(out: list) -> Poly:
@@ -146,10 +148,11 @@ def pdivmod(K, f, g) -> tuple[Poly, Poly]:
         raise ValueError("division needs a field domain")
     f = list(f)
     dg = len(g) - 1
-    lg_inv = K.inv(g[-1])
+    # a monic divisor, the common case, needs no inverse
+    lg_inv = None if g[-1] == K.one else K.inv(g[-1])
     q = [K.zero] * max(len(f) - dg, 0)
     for i in range(len(f) - 1, dg - 1, -1):
-        c = K.mul(f[i], lg_inv)
+        c = f[i] if lg_inv is None else K.mul(f[i], lg_inv)
         if c == K.zero:
             continue
         q[i - dg] = c
@@ -267,9 +270,17 @@ def form_ymult(K, F) -> int:
     return len(F) - len(d)
 
 
-def form_mul(K, F, G) -> Form:
+def _int_modulus(K):
+    """m for Z/m, 0 for Z, both with int loops; None for other domains."""
     if isinstance(K, FF.IntegersMod):
-        return tuple(_int_mul(F, G, K.m))
+        return K.m
+    return 0 if K is ZZ else None
+
+
+def form_mul(K, F, G) -> Form:
+    m = _int_modulus(K)
+    if m is not None:
+        return tuple(_int_mul(F, G, m))
     out = [K.zero] * (len(F) + len(G) - 1)
     for i, a in enumerate(F):
         if a == K.zero:
@@ -295,24 +306,56 @@ def form_eval(K, F, x0, x1):
 
 
 def form_compose(K, F, S0, S1) -> Form:
-    """F(S0, S1) for forms S0, S1 of the same declared degree."""
+    """F(S0, S1) for forms S0, S1 of the same declared degree e.
+
+    Homogeneous Horner: acc <- acc S0 + F_i S1^(d-i) for i = d-1, ..., 0,
+    so each step multiplies by S0 or S1 once, O(d^2 e^2) in all.  Over Z
+    and Z/m a linear pair runs as one int loop.
+    """
     if len(S0) != len(S1):
         raise ValueError("component forms must share a degree")
-    d = len(F) - 1
     e = len(S0) - 1
-    pow0: list[Form] = [(K.one,)]
-    pow1: list[Form] = [(K.one,)]
-    for _ in range(d):
-        pow0.append(form_mul(K, pow0[-1], S0))
-        pow1.append(form_mul(K, pow1[-1], S1))
-    out = [K.zero] * (d * e + 1)
-    for i, c in enumerate(F):
+    if not F:
+        return (K.zero,) * (1 - e)
+    m = _int_modulus(K)
+    if m is not None and e == 1:
+        return _int_compose_linear(F, S0, S1, m)
+    acc = (F[-1],)
+    pw = (K.one,)  # S1^(d-i)
+    for c in reversed(F[:-1]):
+        acc = form_mul(K, acc, S0)
+        pw = form_mul(K, pw, S1)
         if c == K.zero:
             continue
-        term = form_mul(K, pow0[i], pow1[d - i])
-        for j, t in enumerate(term):
-            out[j] = K.add(out[j], K.mul(c, t))
-    return tuple(out)
+        if m is None:
+            acc = tuple([K.add(x, K.mul(c, y)) for x, y in zip(acc, pw)])
+        else:
+            acc = tuple([(x + c * y) % m if m else x + c * y for x, y in zip(acc, pw)])
+    return acc
+
+
+def _int_compose_linear(F, S0, S1, m) -> Form:
+    """form_compose over Z (m = 0) or Z/m for linear S0 = s Y + t X and
+    S1 = u Y + v X, with ints reduced once per Horner step."""
+    s, t = S0
+    u, v = S1
+    acc = [F[-1]]
+    pw = [1]
+    for c in reversed(F[:-1]):
+        nxt = [0] * (len(acc) + 1)
+        npw = [0] * (len(acc) + 1)
+        for j, (x, y) in enumerate(zip(acc, pw)):
+            nxt[j] += x * s
+            nxt[j + 1] += x * t
+            npw[j] += y * u
+            npw[j + 1] += y * v
+        if c:
+            nxt = [x + c * y for x, y in zip(nxt, npw)]
+        if m:
+            nxt = [x % m for x in nxt]
+            npw = [y % m for y in npw]
+        acc, pw = nxt, npw
+    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from autconj import factor
 import autconj.poly as P
 from autconj.domains import QQ
 from autconj.factor import (
@@ -11,13 +12,13 @@ from autconj.factor import (
     factorization_type,
     form_factorization_type,
     form_radical,
-    one_root_ff,
     roots_ff,
     small_factors_qq,
     squarefree_decomposition,
     squarefree_part_qq,
+    stem_root,
 )
-from autconj.finitefield import GF, _is_irreducible_over_prime
+from autconj.finitefield import GF, ExtensionField, _is_irreducible_over_prime
 from autconj.projline import form_rational_roots
 
 
@@ -91,18 +92,40 @@ def test_roots_ff_multiplicity():
     assert roots_ff(K, f) == [(1, 2), (3, 1)]
 
 
-def test_one_root_ff_is_a_root():
-    # products of distinct linear factors, odd and even characteristic,
-    # prime and extension fields, up to the whole field
-    rng = random.Random(11)
-    for K in (GF(2), GF(5), GF(13), GF(2, 3), GF(3, 2)):
-        els = list(K.elements())
-        for n in {1, 2, min(3, len(els)), len(els)}:
-            roots = rng.sample(els, n)
-            f = (rng.choice(els[1:]),)  # a unit: the input need not be monic
-            for r in roots:
-                f = P.pmul(K, f, (K.neg(r), K.one))
-            assert one_root_ff(K, f) in roots
+def _irreducible(K, k, rng):
+    while True:
+        f = _rand_monic(K, k, rng)
+        if [(P.pdeg(g), m) for g, m in factor_ff(K, f)] == [(k, 1)]:
+            return f
+
+
+def test_stem_root_is_a_root(monkeypatch):
+    # h irreducible of degree k = [E : K] over K splits over E, in odd and
+    # even characteristic, over prime and extension fields; the degree-6
+    # stem fields over F_2 leave gcds of degree 2 and 3 for the
+    # Cantor-Zassenhaus split
+    splits = []
+    split = factor._split
+
+    def counted(*args):
+        splits.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(factor, "_split", counted)
+    rng = random.Random(13)
+    cases = [(GF(p, e), k) for p, e in ((2, 1), (3, 1), (5, 1), (7, 1), (101, 1), (2, 2),
+                                         (2, 3), (3, 2), (5, 2), (13, 2))
+             for k in (2, 3, 4) if p**(e * k) < 10**9]
+    cases += [(GF(2), 6)] * 6
+    for K, k in cases:
+        for _ in range(2):
+            E = ExtensionField(K, _irreducible(K, k, rng))
+            h = _irreducible(K, k, rng)
+            b = stem_root(E, h)
+            assert P.peval(E, tuple(E.embed(c) for c in h), b) == E.zero, (K, k)
+        # the stem field's own modulus has the generator among its roots
+        assert P.peval(E, tuple(E.embed(c) for c in E.modulus), stem_root(E, E.modulus)) == E.zero
+    assert splits
 
 
 def test_factorization_type():

@@ -318,6 +318,43 @@ def test_invariant_sets_field_degree_cap(monkeypatch):
         assert "degree 4" in str(e)
 
 
+def test_invariant_sets_field_degree_cap_names_type_reason(monkeypatch):
+    # psi has the fixed point type of phi, one quartic orbit, but not its
+    # pullback type: the type test names the reason before the cap refuses
+    K = GF(5)
+    phi = _zmap(K, (1,), (0, 0, 0, 3))
+    psi = RatMap(K, (1, 3, 1, 1), (3, 3, 2, 2))
+    assert ffsolvers._fixed_point_types_differ(phi, psi) is None
+    monkeypatch.setattr(ffsolvers, "SPLIT_DEGREE_CAP", 3)
+    assert conj_invariant_sets(phi, psi) == (None, [], "factorization type mismatch")
+
+
+def test_invariant_sets_pullback_types_only_name_the_reason(monkeypatch):
+    # a conjugate pair over GF(101) never pays for the pullback half of
+    # the type test; an empty answer still gets its reason from it
+    calls = []
+    types = ffsolvers.types_rule_out_conjugacy
+
+    def counted(a, b):
+        calls.append((a, b))
+        return types(a, b)
+
+    monkeypatch.setattr(ffsolvers, "types_rule_out_conjugacy", counted)
+    K = GF(101)
+    rng = random.Random(61)
+    phi = random_map_ff(K, 3, rng)
+    f = _random_mobius(K, rng)
+    res = conj_ff(phi, conjugate_map(phi, f))
+    assert res.algorithm == "invariant-sets" and f.t in {m.t for m in res.elements}
+    assert calls == []
+    # equal fixed point types, different pullback types
+    phi = RatMap(K, (1, 32, 19), (15, 78, 66))
+    psi = RatMap(K, (1, 40, 47), (27, 23, 78))
+    assert ffsolvers._fixed_point_types_differ(phi, psi) is None
+    assert conj_invariant_sets(phi, psi) == (None, [], "factorization type mismatch")
+    assert len(calls) == 1
+
+
 def test_invariant_sets_orbit_mismatch():
     # z + 1/z and z - 1/z over F_7 both fix only infinity and pull it back
     # to {0, infinity} and then to four points, with the same types; the

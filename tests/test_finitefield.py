@@ -160,6 +160,19 @@ def _reduced(K, f):
     return tuple(r) + (K.base.zero,) * (K.k - len(r))
 
 
+def test_frobenius_matches_power():
+    # the rows F(x)^i, built on the first call, against the q-th power,
+    # q = |base|, over prime bases and towers
+    rng = random.Random(29)
+    B = GF(2, 2)
+    tower4 = ExtensionField(B, (B.gen, B.zero, B.zero, B.one))  # x^3 + t, t no cube
+    for K in KERNEL_FIELDS + (GF(101, 2), GF(7, 4), tower4):
+        for _ in range(24):
+            a = K.random_element(rng)
+            assert K.frobenius(a) == K.pow(a, K.base.order), K
+        assert K.frobenius(K.gen) != K.gen
+
+
 def test_element_arithmetic_matches_polynomials_mod_modulus():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

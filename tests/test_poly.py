@@ -5,8 +5,8 @@ import random
 from fractions import Fraction
 
 import autconj.poly as P
-from autconj.domains import QQ
-from autconj.finitefield import GF
+from autconj.domains import QQ, ZZ
+from autconj.finitefield import GF, ExtensionField
 
 
 def _rand_poly(K, deg, rng):
@@ -215,6 +215,70 @@ def test_form_compose_degree_and_eval():
             x0, x1 = K.random_element(rng), K.random_element(rng)
             want = P.form_eval(K, F, P.form_eval(K, G0, x0, x1), P.form_eval(K, G1, x0, x1))
             assert P.form_eval(K, H, x0, x1) == want
+
+
+def _tower():
+    # x^2 - c over GF(9), c a non-square
+    B = GF(3, 2)
+    c = next(c for c in B.elements() if c != B.zero and B.pow(c, 4) != B.one)
+    return ExtensionField(B, (B.neg(c), B.zero, B.one))
+
+
+def _element(K, rng):
+    if K is ZZ:
+        return rng.randint(-9, 9)
+    if K is QQ:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return K.random_element(rng)
+
+
+def _compose_by_powers(K, F, S0, S1):
+    """F(S0, S1) as sum F_i S0^i S1^(d-i) from the full power tables."""
+    d = len(F) - 1
+    e = len(S0) - 1
+    pow0, pow1 = [(K.one,)], [(K.one,)]
+    for _ in range(d):
+        pow0.append(P.form_mul(K, pow0[-1], S0))
+        pow1.append(P.form_mul(K, pow1[-1], S1))
+    out = [K.zero] * (d * e + 1)
+    for i, c in enumerate(F):
+        for j, t in enumerate(P.form_mul(K, pow0[i], pow1[d - i])):
+            out[j] = K.add(out[j], K.mul(c, t))
+    return tuple(out)
+
+
+def test_form_compose_matches_power_formula():
+    # homogeneous Horner against the powers-and-products formula, for
+    # linear and higher-degree pairs, constant and empty F
+    rng = random.Random(23)
+    for K in (ZZ, QQ, GF(7), GF(2, 3), GF(5, 2), _tower()):
+        for d in (0, 1, 2, 3, 6):
+            for e in (0, 1, 2, 3):
+                F = tuple(_element(K, rng) for _ in range(d + 1))
+                S0 = tuple(_element(K, rng) for _ in range(e + 1))
+                S1 = tuple(_element(K, rng) for _ in range(e + 1))
+                assert P.form_compose(K, F, S0, S1) == _compose_by_powers(K, F, S0, S1), (K, d, e)
+        for e in (0, 1, 2):
+            S = tuple(_element(K, rng) for _ in range(e + 1))
+            assert P.form_compose(K, (), S, S) == _compose_by_powers(K, (), S, S)
+
+
+def test_monic_division_takes_no_inverse(monkeypatch):
+    # over F_{5^3} and a tower: a monic divisor never reaches inv, and the
+    # quotient and remainder agree with those of a non-monic multiple
+    rng = random.Random(29)
+    for K in (GF(5, 3), _tower()):
+        for _ in range(10):
+            f = _rand_poly(K, rng.randrange(0, 8), rng)
+            g = tuple(K.random_element(rng) for _ in range(rng.randrange(1, 4))) + (K.one,)
+            u = K.from_int(2)
+            want_q, want_r = P.pdivmod(K, f, P.pscale(K, g, u))
+            with monkeypatch.context() as m:
+                for field in (K, K.base):
+                    m.setattr(field, "inv", lambda a: 1 / 0)
+                q, r = P.pdivmod(K, f, g)
+            assert (P.pscale(K, q, K.inv(u)), r) == (want_q, want_r)
+            assert P.padd(K, P.pmul(K, q, g), r) == f
 
 
 def test_form_helpers():
