@@ -326,8 +326,12 @@ def _cmd_bench(args, K, field_name):
         raise MapParseError("bench runs over qq")
     import random
 
-    degrees = [args.degree] if args.degree else list(DEFAULT_BENCH_DEGREES)
-    heights = [args.height] if args.height else list(DEFAULT_BENCH_HEIGHTS)
+    for flag in ("degree", "height", "trials"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise MapParseError("--%s must be >= 1, got %d" % (flag, value))
+    degrees = [args.degree] if args.degree is not None else list(DEFAULT_BENCH_DEGREES)
+    heights = [args.height] if args.height is not None else list(DEFAULT_BENCH_HEIGHTS)
     seed = args.seed if args.seed is not None else 0
     rng = random.Random(seed)
     table = []

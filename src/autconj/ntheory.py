@@ -1,4 +1,4 @@
-"""Small integer number theory: primality, the next prime, factoring.
+"""Small integer number theory: primality and the next prime.
 
 Deterministic Miller-Rabin witness set is valid for n < 3.3 * 10^24, far
 beyond anything this package feeds it (moduli stay well under 2^64 in the
@@ -6,9 +6,6 @@ CRT driver before we stop trusting per-prime data anyway).
 """
 
 from __future__ import annotations
-
-import math
-import random
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -51,71 +48,3 @@ def next_prime(n: int) -> int:
     while not is_prime(k):
         k += 2
     return k
-
-
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    # Brent's cycle variant; n must be odd composite, not a prime power check'd.
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: multiplicity}."""
-    if n < 1:
-        raise ValueError("factorint needs n >= 1")
-    out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return dict(sorted(out.items()))
-    rng = random.Random(0x5EED)
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        # perfect-power peel keeps rho off squares
-        root = math.isqrt(m)
-        if root * root == m:
-            stack.extend([root, root])
-            continue
-        d = _pollard_rho(m, rng)
-        stack.extend([d, m // d])
-    return dict(sorted(out.items()))
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    ds = [1]
-    for p, e in factorint(n).items():
-        ds = [d * p**i for d in ds for i in range(e + 1)]
-    return sorted(ds)

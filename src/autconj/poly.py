@@ -356,38 +356,3 @@ def _int_compose_linear(F, S0, S1, m) -> Form:
             npw = [y % m for y in npw]
         acc, pw = nxt, npw
     return tuple(acc)
-
-
-# ---------------------------------------------------------------------------
-# resultant of two binary forms of declared degree d, integer coefficients
-
-def resultant_forms(F: Sequence[int], G: Sequence[int], d: int) -> int:
-    """Sylvester resultant at declared degree d (Bareiss, exact)."""
-    if len(F) != d + 1 or len(G) != d + 1:
-        raise ValueError("forms must have declared degree %d" % d)
-    n = 2 * d
-    fa = list(reversed(F))          # descending in X
-    ga = list(reversed(G))
-    m = []
-    for j in range(d):
-        m.append([0] * j + fa + [0] * (d - 1 - j))
-    for j in range(d):
-        m.append([0] * j + ga + [0] * (d - 1 - j))
-    # Bareiss fraction-free elimination
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

@@ -224,7 +224,7 @@ class RatMap:
     canonicalizes the joint coefficient vector exactly like Mobius does.
     """
 
-    __slots__ = ("K", "F0", "F1", "d", "_res")
+    __slots__ = ("K", "F0", "F1", "d")
 
     def __init__(self, K, F0, F1):
         F0, F1 = tuple(F0), tuple(F1)
@@ -242,15 +242,15 @@ class RatMap:
             raise ValueError("zero form")
         if len(a0) < d + 1 and len(a1) < d + 1:
             raise ValueError("forms share the factor Y")
-        # over Q one reduction mod a large prime nearly always settles it
-        coprime = K.char == 0 and _coprime_mod_probe(a0, a1, d)
+        # over Q good reduction mod a large prime nearly always proves
+        # coprimality; bad reduction there decides nothing
+        coprime = K.char == 0 and _good_reduction(_PROBE, a0, a1, d)
         if not coprime and P.pdeg(P.pgcd(K, a0, a1)) > 0:
             raise ValueError("forms share a factor")
         self.K = K
         self.F0 = F0
         self.F1 = F1
         self.d = d
-        self._res = None
 
     @classmethod
     def from_rational_function(cls, K, num, den) -> "RatMap":
@@ -309,17 +309,10 @@ class RatMap:
     def rational_preimages(self, pt) -> list:
         return form_rational_roots(self.K, self.preimage_form(pt))
 
-    # -- reduction machinery, Q only ------------------------------------
-
-    def resultant(self) -> int:
-        if self.K.char != 0:
-            raise TypeError("resultant bookkeeping is for maps over Q")
-        if self._res is None:
-            self._res = P.resultant_forms(self.F0, self.F1, self.d)
-        return self._res
+    # -- reduction mod p, Q only ----------------------------------------
 
     def is_good_prime(self, p: int) -> bool:
-        return self.resultant() % p != 0
+        return _good_reduction(PrimeField(p), self.F0, self.F1, self.d)
 
     def reduce_mod_p(self, p: int) -> "RatMap":
         Kp = PrimeField(p)
@@ -387,16 +380,17 @@ def _poly_str(K, f) -> str:
 _PROBE = PrimeField(2**61 - 1)
 
 
-def _coprime_mod_probe(a0, a1, d) -> bool:
-    """True when the dehomogenized integer forms a0, a1 of degree d are
-    certainly coprime: reduced mod the probe prime p, both are nonzero,
-    some top coefficient survives and the gcd is 1, so the resultant is
-    nonzero mod p and hence nonzero.  False decides nothing."""
-    p = _PROBE.p
-    b0 = P.pstrip(_PROBE, [c % p for c in a0])
-    b1 = P.pstrip(_PROBE, [c % p for c in a1])
+def _good_reduction(Kp, a0, a1, d) -> bool:
+    """True iff p = Kp.p does not divide the resultant of the integer
+    forms a0, a1 of declared degree d (dehomogenized, trailing zeros
+    allowed): reduced mod p, both are nonzero, some top coefficient
+    survives and the gcd is 1, which is exactly when the reduced forms
+    have no common projective root."""
+    p = Kp.p
+    b0 = P.pstrip(Kp, [c % p for c in a0])
+    b1 = P.pstrip(Kp, [c % p for c in a1])
     return (bool(b0) and bool(b1) and (len(b0) > d or len(b1) > d)
-            and len(P.pgcd(_PROBE, b0, b1)) == 1)
+            and len(P.pgcd(Kp, b0, b1)) == 1)
 
 
 def _fixed_point_form(K, F0, F1) -> tuple:
@@ -507,18 +501,22 @@ def mobius_from_three_points(K, src, dst) -> Mobius:
 
 
 def random_map_qq(d: int, height: int, rng) -> RatMap:
-    """Random degree-d map with integer coefficients in [-height, height]."""
+    """Random degree-d map with integer coefficients in [-height, height],
+    redrawn until the resultant is nonzero (RatMap accepts the forms)."""
+    if d < 1 or height < 1:
+        raise ValueError("random maps need degree >= 1 and height >= 1")
     while True:
         f0 = [rng.randint(-height, height) for _ in range(d + 1)]
         f1 = [rng.randint(-height, height) for _ in range(d + 1)]
-        if not any(f0) or not any(f1):
+        try:
+            return RatMap(QQ, f0, f1)
+        except ValueError:
             continue
-        if P.resultant_forms(f0, f1, d) == 0:
-            continue
-        return RatMap(QQ, f0, f1)
 
 
 def random_map_ff(K, d: int, rng) -> RatMap:
+    if d < 1:
+        raise ValueError("random maps need degree >= 1")
     while True:
         f0 = [K.random_element(rng) for _ in range(d + 1)]
         f1 = [K.random_element(rng) for _ in range(d + 1)]

@@ -39,7 +39,7 @@ from .exact import crt_combine, l2_norm_sq, shortest_congruent_lift
 from .ffsolvers import (_aut_ff_elements, _invariant_form, _sorted_mobius,
                         aut_fixed_points, conj_ff)
 from .groups import closure, group_structure
-from .ntheory import divisors, next_prime
+from .ntheory import next_prime
 from .projline import Mobius, RatMap, is_automorphism, is_conjugating
 from .results import AutResult, ConjResult
 
@@ -67,7 +67,8 @@ def conjugacy_height_bound(phi: RatMap, psi: RatMap | None = None) -> int:
 
 def _good_primes(maps):
     """Primes p >= 5 at which every map has good reduction, p not
-    dividing its resultant; the resultant is never factored."""
+    dividing its resultant: each map's forms mod p keep degree d and
+    stay coprime.  The resultant itself is never computed."""
     p = 3
     while True:
         p = next_prime(p)
@@ -147,8 +148,8 @@ def _order_bound(fibers, counts, g_order: int) -> int:
         G = math.gcd(G, len(fib))
     caps = sum(min(col) for col in zip(*counts))
     best = g_order
-    for D in divisors(G):
-        if D % g_order == 0 and D <= 1 + caps and D > best:
+    for D in range(g_order, min(G, 1 + caps) + 1, g_order):
+        if G % D == 0:
             best = D
     return best
 

@@ -202,6 +202,19 @@ def test_bench_json(capsys):
     assert meds[0][0] >= 0
 
 
+def test_bench_rejects_flags_below_one(capsys):
+    # 0 is a value, not a missing flag: it must not fall back to the full grid
+    for flag, value in (("--degree", "0"), ("--height", "0"), ("--trials", "0"),
+                        ("--degree", "-2"), ("--height", "-1")):
+        argv = ["bench", "--degree", "3", "--height", "5", "--trials", "1"]
+        argv[argv.index(flag) + 1] = value
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2, (flag, value)
+        assert captured.out == ""
+        assert "error:" in captured.err and flag in captured.err
+
+
 def test_bench_reproducible(capsys):
     main(["bench", "--degree", "2", "--height", "50", "--trials", "3", "--seed", "9", "--format", "json"])
     one = json.loads(capsys.readouterr().out)

@@ -1,8 +1,6 @@
-"""Primality, factoring, divisors."""
+"""Primality and the next prime."""
 
-import random
-
-from autconj.ntheory import divisors, factorint, is_prime, next_prime
+from autconj.ntheory import is_prime, next_prime
 
 
 def _trial_prime(n):
@@ -39,32 +37,3 @@ def test_next_prime():
         p = next_prime(p)
         seen.append(p)
     assert seen == [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-
-
-def test_factorint_roundtrip():
-    rng = random.Random(5)
-    for _ in range(60):
-        n = rng.randrange(2, 10**9)
-        fac = factorint(n)
-        prod = 1
-        for p, e in fac.items():
-            assert is_prime(p) and e >= 1
-            prod *= p**e
-        assert prod == n
-
-
-def test_factorint_known():
-    assert factorint(345025251) == {3: 5, 17: 5}
-    assert factorint(2601) == {3: 2, 17: 2}
-    assert factorint(1) == {}
-
-
-def test_divisors():
-    assert divisors(1) == [1]
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
-    rng = random.Random(9)
-    for _ in range(30):
-        n = rng.randrange(1, 5000)
-        ds = divisors(n)
-        assert ds == sorted(d for d in range(1, n + 1) if n % d == 0)

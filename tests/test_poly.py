@@ -132,73 +132,6 @@ def test_content_primitive():
     assert P.primitive((0, 0, 0)) == (0, 0, 0)
 
 
-def test_resultant_forms_examples():
-    # res(X^2, Y^2) = 1
-    assert P.resultant_forms((0, 0, 1), (1, 0, 0), 2) == 1
-    # res(2X^5, Y^5) = 2^5 = 32
-    assert P.resultant_forms((0, 0, 0, 0, 0, 2), (1, 0, 0, 0, 0, 0), 5) == 32
-    # shared root (0:1) makes it vanish: res(XY, Y^2) = 0
-    assert P.resultant_forms((0, 1, 0), (1, 0, 0), 2) == 0
-
-
-def _sylvester_det(F, G, d):
-    # independent oracle: Fraction Gaussian elimination on the Sylvester matrix
-    n = 2 * d
-    fa = list(reversed(F))
-    ga = list(reversed(G))
-    m = []
-    for j in range(d):
-        m.append([Fraction(0)] * j + [Fraction(c) for c in fa] + [Fraction(0)] * (d - 1 - j))
-    for j in range(d):
-        m.append([Fraction(0)] * j + [Fraction(c) for c in ga] + [Fraction(0)] * (d - 1 - j))
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            t = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= t * m[k][j]
-    assert det.denominator == 1
-    return det.numerator
-
-
-def test_resultant_matches_determinant_oracle():
-    rng = random.Random(12)
-    for _ in range(60):
-        d = rng.randrange(1, 5)
-        F = tuple(rng.randrange(-9, 10) for _ in range(d + 1))
-        G = tuple(rng.randrange(-9, 10) for _ in range(d + 1))
-        if not any(F) or not any(G):
-            continue
-        assert P.resultant_forms(F, G, d) == _sylvester_det(F, G, d)
-
-
-def test_resultant_vanishes_on_shared_root():
-    rng = random.Random(13)
-    for _ in range(40):
-        # plant the common root z = r by multiplying both sides by (X - r Y)
-        r = rng.randrange(-4, 5)
-        lin = (-r, 1)
-        d = rng.randrange(1, 3)
-        F = tuple(rng.randrange(-5, 6) for _ in range(d + 1))
-        G = tuple(rng.randrange(-5, 6) for _ in range(d + 1))
-        if not any(F) or not any(G):
-            continue
-        FF = P.form_mul(QQ, F, lin)
-        GG = P.form_mul(QQ, G, lin)
-        assert P.resultant_forms(FF, GG, d + 1) == 0
-
-
 def test_form_compose_degree_and_eval():
     K = GF(7)
     rng = random.Random(14)

@@ -1,6 +1,7 @@
 """Automorphism and conjugation solvers over Q: fixed points and CRT lifting."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from autconj.projline import Mobius, RatMap, conjugate_map, is_automorphism, is_
 from autconj.qqsolvers import (
     ORDER_CLASSES,
     _good_primes,
+    _order_bound,
     _order_classes,
     aut_qq,
     conj_qq,
@@ -108,10 +110,27 @@ def test_good_primes_skip_divisors_of_the_resultant():
     big = _zmap((0, 0, 0, 0, 0, 0, 345025251), (1,))  # 3^5 * 17^5
     assert list(itertools.islice(_good_primes([big]), 5)) == [5, 7, 11, 13, 19]
     assert list(itertools.islice(_good_primes([TWO_Z5, big]), 5)) == [5, 7, 11, 13, 19]
-    # the resultant (2^61 - 1)^2 (2^89 - 1)^2 is out of reach of factorint
+    # the resultant (2^61 - 1)^2 (2^89 - 1)^2 has only large prime factors,
+    # so no small prime is bad
     n = (2**61 - 1) * (2**89 - 1)
     hard = _zmap((0, 0, n), (1,))
     assert list(itertools.islice(_good_primes([hard]), 5)) == [5, 7, 11, 13, 17]
+
+
+def test_order_bound_matches_divisor_scan():
+    # the largest D dividing the gcd G of the fiber sizes, a multiple of the
+    # order found so far and at most 1 + caps, found by scanning 1..G
+    rng = random.Random(24)
+    for _ in range(400):
+        g_order = rng.choice((1, 2, 3, 4, 6, 8, 12, 24))
+        fibers = [(p, [None] * (g_order * rng.randrange(1, 30)))
+                  for p in (5, 7, 11)[:rng.randrange(1, 4)]]
+        counts = [[rng.randrange(0, 20) for _ in ORDER_CLASSES] for _ in fibers]
+        G = math.gcd(*(len(fib) for _, fib in fibers))
+        caps = sum(min(col) for col in zip(*counts))
+        scan = [D for D in range(1, G + 1)
+                if G % D == 0 and D % g_order == 0 and D <= 1 + caps]
+        assert _order_bound(fibers, counts, g_order) == max(scan + [g_order])
 
 
 def test_aut_elements_verify_and_close():
